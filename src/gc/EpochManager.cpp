@@ -110,17 +110,22 @@ uint64_t EpochManager::minActiveEpoch() {
 
 void EpochManager::freeUpTo(std::vector<Retired> &Bin, uint64_t SafeEpoch) {
   std::size_t Kept = 0;
+  uint64_t NumFreed = 0;
   for (std::size_t I = 0; I < Bin.size(); ++I) {
     // An object retired at epoch E may still be referenced by threads pinned
     // at E; it is safe once the minimum active epoch exceeds E.
     if (Bin[I].Epoch < SafeEpoch) {
       Bin[I].D(Bin[I].Ptr);
-      Freed.fetch_add(1, std::memory_order_relaxed);
+      ++NumFreed;
     } else {
       Bin[Kept++] = Bin[I];
     }
   }
   Bin.resize(Kept);
+  // One shared-counter update per pass: Freed sits on GlobalEpoch's cache
+  // line, which every retire() and every pin confirmation reads.
+  if (NumFreed)
+    Freed.fetch_add(NumFreed, std::memory_order_relaxed);
 }
 
 void EpochManager::collect() {

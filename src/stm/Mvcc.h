@@ -21,14 +21,24 @@
 /// zero) are retired through the existing epoch reclaimer, so a reader
 /// paused mid-walk keeps everything it can reach alive via its pin.
 ///
+/// Truncation is O(1). Each node also carries a writer-only Newer back
+/// link, and the object keeps a writer-only tail word: the chain's oldest
+/// node with the chain depth tagged into its low bits (see makeTail). A
+/// full chain drops its tail and promotes Tail->Newer without walking the
+/// Older links; the walk survives only to resync a chain whose tag no
+/// longer fits (MvVersions changed at runtime, or K > MaxTaggedDepth).
+/// Snapshot readers never touch Newer or the tail word.
+///
 /// The whole tier compiles out under -DOTM_MVCC=0: TxObject loses the
-/// chain-head word, the snapshot read path disappears, and writer commits
-/// go back to per-object version increments.
+/// chain-head and tail words, the snapshot read path disappears, and
+/// writer commits go back to per-object version increments.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef OTM_STM_MVCC_H
 #define OTM_STM_MVCC_H
+
+#include "support/TxPool.h"
 
 #include <atomic>
 #include <cstdint>
@@ -69,12 +79,33 @@ struct MvRecord {
 /// One link in an object's version chain (newest first). PrevStamp is the
 /// stamp the object carried *before* this commit, so a walker knows when
 /// the remaining history is at or below its snapshot without dereferencing
-/// the older node.
+/// the older node. Newer points the other way (null at the head); only
+/// the update owner of the object reads or writes it.
 struct MvNode {
   MvRecord *Rec;
   std::atomic<MvNode *> Older;
   uint64_t PrevStamp;
+  MvNode *Newer;
 };
+// The back link must not push nodes out of the pool's smallest size class.
+static_assert(sizeof(MvNode) <= support::TxPool::classSize(0),
+              "MvNode must stay in the 32-byte TxPool class");
+
+/// Tail word encoding: the chain's oldest node, with the chain depth in the
+/// low bits (pool payloads are 16-byte aligned, so they are free). 0 means
+/// untagged: the depth is unknown and the next install walks the chain.
+constexpr uintptr_t TailDepthMask = 15;
+constexpr unsigned MaxTaggedDepth = TailDepthMask;
+
+inline uintptr_t makeTail(MvNode *Tail, unsigned Depth) {
+  return reinterpret_cast<uintptr_t>(Tail) | Depth;
+}
+inline MvNode *tailNode(uintptr_t Tag) {
+  return reinterpret_cast<MvNode *>(Tag & ~TailDepthMask);
+}
+inline unsigned tailDepth(uintptr_t Tag) {
+  return static_cast<unsigned>(Tag & TailDepthMask);
+}
 
 /// The global commit clock. Writer commits stamp their objects with
 /// 1 + fetch_add(1) *after* validation succeeds (no abort can follow), so

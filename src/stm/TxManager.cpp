@@ -585,45 +585,78 @@ void TxManager::installVersions(uint64_t CommitStamp) {
     TxObject *Obj = Entry.Obj;
     auto *Node =
         static_cast<mv::MvNode *>(support::TxPool::allocate(sizeof(mv::MvNode)));
+    assert((reinterpret_cast<uintptr_t>(Node) & mv::TailDepthMask) == 0 &&
+           "pool payloads leave the tail word's tag bits free");
     Node->Rec = Rec;
-    // We hold update ownership of Obj, so its chain head is ours alone to
-    // write; readers get the node (and the record behind it) through the
-    // release store below.
-    Node->Older.store(Obj->Hist.load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
+    // We hold update ownership of Obj, so its chain head, tail word and
+    // back links are ours alone to write; readers get the node (and the
+    // record behind it) through the release store below.
+    mv::MvNode *Head = Obj->Hist.load(std::memory_order_relaxed);
+    Node->Older.store(Head, std::memory_order_relaxed);
     Node->PrevStamp = versionOf(Entry.PrevWord);
+    Node->Newer = nullptr;
+    if (Head)
+      Head->Newer = Node;
     Obj->Hist.store(Node, std::memory_order_release);
     ++Stats.MvVersionsInstalled;
 
     // Truncate the chain to K nodes. Readers paused inside the cut tail
     // stay safe: the nodes (and the records they reference) are retired
     // through the epoch reclaimer, which waits out every active pin.
-    unsigned Depth = 1;
-    mv::MvNode *Last = Node;
-    while (Depth < K) {
-      mv::MvNode *Older = Last->Older.load(std::memory_order_relaxed);
-      if (!Older)
-        break;
-      Last = Older;
-      ++Depth;
-    }
-    if (Depth == K) {
-      mv::MvNode *Cut = Last->Older.load(std::memory_order_relaxed);
-      if (Cut) {
-        Last->Older.store(nullptr, std::memory_order_relaxed);
-        do {
-          mv::MvNode *Next = Cut->Older.load(std::memory_order_relaxed);
-          if (Cut->Rec->ChainRefs.fetch_sub(1, std::memory_order_acq_rel) == 1)
-            gc::EpochManager::global().retire(Cut->Rec, freePoolBlock);
-          gc::EpochManager::global().retire(Cut, freePoolBlock);
-          ++Stats.MvVersionsRetired;
-          Cut = Next;
-        } while (Cut);
-      }
+    const uintptr_t Tag = Obj->HistTail;
+    const unsigned Depth = mv::tailDepth(Tag); // before this install
+    unsigned NewDepth;
+    if (Tag && Depth == K) {
+      // Full chain: drop the tail, its Newer neighbour becomes the tail.
+      mv::MvNode *Cut = mv::tailNode(Tag);
+      mv::MvNode *NewTail = Cut->Newer;
+      NewTail->Older.store(nullptr, std::memory_order_relaxed);
+      retireVersion(Cut);
+      NewDepth = K;
+      Obj->HistTail = mv::makeTail(NewTail, K);
+    } else if (Tag && Depth < K && Depth < mv::MaxTaggedDepth) {
+      NewDepth = Depth + 1; // still growing: the tail stays put
+      Obj->HistTail = mv::makeTail(mv::tailNode(Tag), NewDepth);
+    } else {
+      NewDepth = truncateByWalk(Obj, Node, K); // also tags a new chain
     }
     if (OTM_UNLIKELY(Obs.Sampling))
-      Stats.MvChainDepth.record(Depth);
+      Stats.MvChainDepth.record(NewDepth);
   });
+}
+
+void TxManager::retireVersion(mv::MvNode *Cut) {
+  if (Cut->Rec->ChainRefs.fetch_sub(1, std::memory_order_acq_rel) == 1)
+    gc::EpochManager::global().retire(Cut->Rec, freePoolBlock);
+  gc::EpochManager::global().retire(Cut, freePoolBlock);
+  ++Stats.MvVersionsRetired;
+}
+
+unsigned TxManager::truncateByWalk(TxObject *Obj, mv::MvNode *Head,
+                                   unsigned K) {
+  // Resync path: the tail word is untagged or disagrees with K. Walk the
+  // Older links to depth K, cut everything below, and re-tag the chain
+  // when its depth fits the tag bits.
+  unsigned Depth = 1;
+  mv::MvNode *Last = Head;
+  while (Depth < K) {
+    mv::MvNode *Older = Last->Older.load(std::memory_order_relaxed);
+    if (!Older)
+      break;
+    Last = Older;
+    ++Depth;
+  }
+  mv::MvNode *Cut = Last->Older.load(std::memory_order_relaxed);
+  if (Cut) {
+    Last->Older.store(nullptr, std::memory_order_relaxed);
+    do {
+      mv::MvNode *Next = Cut->Older.load(std::memory_order_relaxed);
+      retireVersion(Cut);
+      Cut = Next;
+    } while (Cut);
+  }
+  Obj->HistTail = Depth <= mv::MaxTaggedDepth ? mv::makeTail(Last, Depth) : 0;
+  return Depth;
 }
 
 bool TxManager::snapshotCommit() {
@@ -731,6 +764,7 @@ void TxObject::releaseHistory() noexcept {
   // zero.
   mv::MvNode *Node = Hist.load(std::memory_order_relaxed);
   Hist.store(nullptr, std::memory_order_relaxed);
+  HistTail = 0;
   while (Node) {
     mv::MvNode *Older = Node->Older.load(std::memory_order_relaxed);
     if (Node->Rec->ChainRefs.fetch_sub(1, std::memory_order_acq_rel) == 1)

@@ -733,7 +733,17 @@ private:
   /// Commit-side chain maintenance: builds the shared pre-image record from
   /// the undo log, prepends one node per updated object, truncates each
   /// chain to ActiveConfig.MvVersions, and epoch-retires the cut tails.
+  /// A full chain with a valid tail word loses its tail in O(1).
   void installVersions(uint64_t CommitStamp);
+
+  /// Drops one cut node's reference to its record and epoch-retires the
+  /// node (and the record, on its last reference).
+  void retireVersion(mv::MvNode *Cut);
+
+  /// Resync fallback of installVersions: walks \p Obj's chain from its new
+  /// head \p Head, truncates it to \p K nodes, re-tags the tail word, and
+  /// returns the resulting depth.
+  unsigned truncateByWalk(TxObject *Obj, mv::MvNode *Head, unsigned K);
 
   /// Snapshot-path commit: no validation, no write-back, no release walk.
   bool snapshotCommit();

@@ -6,9 +6,12 @@
 ///
 /// \file
 /// TxObject is the base class of every object managed by the direct-update
-/// STM. It contributes exactly one word of metadata — the STM word — which
-/// is all the runtime needs for both optimistic read versioning and eager
-/// update locking (see stm/StmWord.h for the encoding).
+/// STM. Its first word is the STM word, which is all the runtime needs for
+/// both optimistic read versioning and eager update locking (see
+/// stm/StmWord.h for the encoding). The MVCC tier (stm/Mvcc.h) adds two
+/// more: the version-chain head, which snapshot readers follow, and a
+/// writer-only tail word that makes chain truncation O(1). Both compile
+/// out under -DOTM_MVCC=0.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,6 +24,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <new>
 
 namespace otm {
@@ -28,7 +32,8 @@ namespace stm {
 
 class TxManager;
 
-/// Base class for transactional objects (one STM word of overhead).
+/// Base class for transactional objects (the STM word, plus the two MVCC
+/// chain words when that tier is compiled in).
 ///
 /// Heap allocation is routed through the per-thread transaction pool
 /// (support/TxPool.h): every `new`/`delete` of a TxObject-derived type —
@@ -111,6 +116,11 @@ private:
   /// the transaction holding update ownership of this object; read
   /// concurrently by snapshot readers.
   std::atomic<mv::MvNode *> Hist{nullptr};
+  /// Oldest chain node tagged with the chain depth (mv::makeTail), or 0
+  /// when untagged. Read and written only under update ownership (the STM
+  /// word's acquire/release orders successive owners) and at destruction;
+  /// snapshot readers never look at it.
+  uintptr_t HistTail = 0;
 
   /// Out of line (TxManager.cpp): frees the chain at destruction.
   void releaseHistory() noexcept;

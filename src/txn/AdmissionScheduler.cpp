@@ -94,6 +94,7 @@ void AdmissionScheduler::drainQueueLocked(Shard &Sh) {
     if (Slot < 0)
       break;
     W->GrantedSlot = Slot;
+    W->GrantSeq = ++Sh.Grants;
     Sh.Queue.pop_front();
   }
 }
@@ -114,6 +115,7 @@ AdmissionScheduler::Ticket AdmissionScheduler::admit(uint32_t ClassId,
     int32_t Slot = tryInstall(Sh, ClassId, S);
     if (Slot >= 0) {
       T.Slot = Slot;
+      T.GrantSeq = ++Sh.Grants;
       AdmittedImmediate.fetch_add(1, std::memory_order_relaxed);
       return T;
     }
@@ -147,6 +149,7 @@ AdmissionScheduler::Ticket AdmissionScheduler::admit(uint32_t ClassId,
     // and reacquiring the lock — re-check before bailing).
     if (W.GrantedSlot >= 0) {
       T.Slot = W.GrantedSlot;
+      T.GrantSeq = W.GrantSeq;
       return T;
     }
     auto It = std::find(Sh.Queue.begin(), Sh.Queue.end(), &W);
@@ -160,6 +163,7 @@ AdmissionScheduler::Ticket AdmissionScheduler::admit(uint32_t ClassId,
     return T;
   }
   T.Slot = W.GrantedSlot;
+  T.GrantSeq = W.GrantSeq;
   return T;
 }
 

@@ -119,6 +119,10 @@ public:
     int32_t Slot = -1;
     uint32_t ClassId = 0;
     bool Waited = false;
+    /// Position of this grant in its shard's grant order (1-based; 0 when
+    /// no slot was granted). Lets callers check FIFO order as the
+    /// scheduler decided it, independent of when the waiter thread runs.
+    uint64_t GrantSeq = 0;
   };
 
   /// Admission decision for one transaction of \p ClassId with footprint
@@ -180,6 +184,7 @@ private:
     const TxSummary *S = nullptr;
     uint32_t ClassId = 0;
     int32_t GrantedSlot = -1;
+    uint64_t GrantSeq = 0;
   };
 
   struct Shard {
@@ -187,6 +192,7 @@ private:
     std::condition_variable CV;
     InFlight Slots[SlotsPerShard];
     unsigned ActiveCount = 0;
+    uint64_t Grants = 0; ///< slots granted so far (Ticket::GrantSeq)
     std::deque<Waiter *> Queue;
   };
 
@@ -270,6 +276,7 @@ public:
     int32_t Slot = -1;
     uint32_t ClassId = 0;
     bool Waited = false;
+    uint64_t GrantSeq = 0;
   };
 
   Ticket admit(uint32_t, const TxSummary &) { return {}; }

@@ -125,3 +125,30 @@ TEST(EpochManager, ConcurrentReadersNeverSeeFreedMemory) {
   Reader.join();
   delete Shared.load();
 }
+
+TEST(EpochManager, FreedCountMatchesRetirementsFromTwoThreads) {
+  // freeUpTo adds its whole pass to the shared counter at once; no pass may
+  // drop or double its share, whether it runs in a worker's own collect,
+  // over the orphan bin of an exited thread, or in the final drain.
+  EpochManager &EM = EpochManager::global();
+  EM.drainForTesting();
+  const uint64_t Freed0 = EM.freedCount();
+  const int Live0 = LiveObjects.load();
+  constexpr int PerThread = 1000; // several collect thresholds per thread
+  std::vector<std::thread> Threads;
+  for (int T = 0; T < 2; ++T)
+    Threads.emplace_back([] {
+      EpochManager &Local = EpochManager::global();
+      for (int I = 0; I < PerThread; ++I) {
+        Local.pin();
+        retireTracked(new Tracked());
+        Local.unpin();
+      }
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  EM.drainForTesting();
+  EXPECT_EQ(EM.pendingForTesting(), 0u);
+  EXPECT_EQ(EM.freedCount() - Freed0, uint64_t{2} * PerThread);
+  EXPECT_EQ(LiveObjects.load(), Live0);
+}

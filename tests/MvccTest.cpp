@@ -27,6 +27,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
@@ -207,6 +208,146 @@ TEST(Mvcc, ChainTruncatesAtConfiguredDepth) {
   EXPECT_EQ(S.MvVersionsRetired, 5u);
 }
 
+namespace {
+
+/// Commits one write of \p V to \p C.
+void commitWrite(Counter &C, int64_t V) {
+  Stm::atomic([&](TxManager &Tx) { Tx.write(&C, &Counter::Value, V); });
+}
+
+/// Runs \p N commits on \p C at depth \p K, checking the chain depth and
+/// the installed/retired counts after each one. \p Depth is the depth the
+/// chain had before; returns the depth it has after.
+std::size_t commitAndCheck(Counter &C, unsigned K, int N, std::size_t Depth) {
+  TxManager::config().MvVersions = K;
+  for (int I = 0; I < N; ++I) {
+    TxStats Before = statsNow();
+    commitWrite(C, I);
+    const std::size_t Want = std::min<std::size_t>(Depth + 1, K);
+    EXPECT_EQ(C.historyDepthForTesting(), Want) << "K=" << K << " I=" << I;
+    TxStats After = statsNow();
+    EXPECT_EQ(After.MvVersionsInstalled - Before.MvVersionsInstalled, 1u);
+    EXPECT_EQ(After.MvVersionsRetired - Before.MvVersionsRetired,
+              Depth + 1 - Want)
+        << "K=" << K << " I=" << I;
+    Depth = Want;
+  }
+  return Depth;
+}
+
+} // namespace
+
+TEST(Mvcc, TruncationIsExactAtDepthsOneTwoAndEight) {
+  if (!TxManager::mvccEnabled())
+    GTEST_SKIP() << "built with OTM_MVCC=0";
+  ConfigGuard Guard;
+  for (unsigned K : {1u, 2u, 8u}) {
+    Counter C;
+    resetStats();
+    commitAndCheck(C, K, 3 * int(K) + 4, 0);
+    TxStats S = statsNow();
+    EXPECT_EQ(S.MvVersionsInstalled, 3 * K + 4);
+    EXPECT_EQ(S.MvVersionsRetired, 2 * K + 4);
+  }
+}
+
+TEST(Mvcc, DepthChangesMidObjectResyncTheChain) {
+  if (!TxManager::mvccEnabled())
+    GTEST_SKIP() << "built with OTM_MVCC=0";
+  ConfigGuard Guard;
+  Counter C;
+  resetStats();
+  std::size_t Depth = commitAndCheck(C, 8, 10, 0); // full at 8
+  Depth = commitAndCheck(C, 3, 4, Depth);  // lowered: one commit cuts 6
+  Depth = commitAndCheck(C, 5, 4, Depth);  // raised: grows back to 5
+  Depth = commitAndCheck(C, 1, 2, Depth);  // lowered to the head only
+  Depth = commitAndCheck(C, 8, 12, Depth); // raised to the default
+  EXPECT_EQ(Depth, 8u);
+  // Pausing history keeps the chain; resuming continues from it.
+  TxManager::config().MvVersions = 0;
+  commitWrite(C, 42);
+  EXPECT_EQ(C.historyDepthForTesting(), 8u);
+  Depth = commitAndCheck(C, 2, 3, Depth);
+  TxStats S = statsNow();
+  EXPECT_EQ(S.MvVersionsInstalled, 35u);
+  EXPECT_EQ(S.MvVersionsInstalled - S.MvVersionsRetired, Depth);
+}
+
+TEST(Mvcc, DepthsPastTheTagBitsFallBackToTheWalk) {
+  if (!TxManager::mvccEnabled())
+    GTEST_SKIP() << "built with OTM_MVCC=0";
+  ConfigGuard Guard;
+  for (unsigned K : {16u, 17u, 40u}) {
+    Counter C;
+    resetStats();
+    std::size_t Depth = commitAndCheck(C, K, int(K) + 5, 0);
+    // Back under the tag limit: the walk re-tags, the O(1) cut takes over.
+    Depth = commitAndCheck(C, 8, 10, Depth);
+    TxStats S = statsNow();
+    EXPECT_EQ(S.MvVersionsInstalled, K + 15);
+    EXPECT_EQ(S.MvVersionsRetired, K + 7);
+  }
+}
+
+TEST(Mvcc, AbortIdentityCommitsInstallAndTruncateLikeCommits) {
+  if (!TxManager::mvccEnabled())
+    GTEST_SKIP() << "built with OTM_MVCC=0";
+  ConfigGuard Guard;
+  TxManager::config().MvVersions = 2;
+  TxManager::config().HtmAttempts = 0; // the abort must run in software
+  Counter C;
+  resetStats();
+  commitWrite(C, 1);
+  // A rolled-back in-place store releases like an identity commit of the
+  // restored value, installing a version and truncating like any commit.
+  for (int I = 0; I < 3; ++I) {
+    Stm::atomic([&](TxManager &Tx) {
+      Tx.write(&C, &Counter::Value, int64_t{99});
+      Tx.userAbort();
+    });
+    EXPECT_EQ(C.historyDepthForTesting(), 2u);
+  }
+  commitWrite(C, 2);
+  EXPECT_EQ(C.historyDepthForTesting(), 2u);
+  EXPECT_EQ(C.Value.load(), 2);
+  TxStats S = statsNow();
+  EXPECT_EQ(S.AbortsByUser, 3u);
+  EXPECT_EQ(S.MvVersionsInstalled, 5u);
+  EXPECT_EQ(S.MvVersionsRetired, 3u);
+}
+
+TEST(Mvcc, DestroyingPartlyAndFullyGrownChainsFreesEverything) {
+  if (!TxManager::mvccEnabled())
+    GTEST_SKIP() << "built with OTM_MVCC=0";
+  ConfigGuard Guard;
+  TxManager::config().MvVersions = 4;
+  gc::EpochManager &EM = gc::EpochManager::global();
+  EM.drainForTesting();
+  resetStats();
+  const uint64_t Freed0 = EM.freedCount();
+  auto *Partial = new Counter();
+  auto *Full = new Counter();
+  for (int I = 0; I < 2; ++I)
+    commitWrite(*Partial, I);
+  for (int I = 0; I < 6; ++I)
+    commitWrite(*Full, I);
+  EXPECT_EQ(Partial->historyDepthForTesting(), 2u);
+  EXPECT_EQ(Full->historyDepthForTesting(), 4u);
+  TxStats S = statsNow();
+  EXPECT_EQ(S.MvVersionsInstalled, 8u);
+  EXPECT_EQ(S.MvVersionsRetired, 2u);
+  delete Partial;
+  delete Full;
+  // A recycled block starts with an empty chain and an untagged tail.
+  auto *Fresh = new Counter();
+  commitAndCheck(*Fresh, 4, 6, 0);
+  delete Fresh;
+  EM.drainForTesting();
+  // Truncation retired 2 + 2 nodes with their records; the destructors
+  // free nodes directly and retire the 2 + 4 + 4 records left behind.
+  EXPECT_EQ(EM.freedCount() - Freed0, 8u + 10u);
+}
+
 TEST(Mvcc, TruncatedChainRefreshesInsteadOfServingTooNewState) {
   if (!TxManager::mvccEnabled())
     GTEST_SKIP() << "built with OTM_MVCC=0";
@@ -329,9 +470,13 @@ TEST(Mvcc, TxGlobalReadsResolveAgainstTheSnapshot) {
   EXPECT_EQ(S.SnapshotReads, 1u);
 }
 
-TEST(Mvcc, SnapshotSumsStayConsistentUnderWriterChurn) {
-  if (!TxManager::mvccEnabled())
-    GTEST_SKIP() << "built with OTM_MVCC=0";
+namespace {
+
+/// Two writers transfer among eight accounts while two snapshot readers sum
+/// them. Every snapshot must see the invariant total, and the chain
+/// bookkeeping must balance exactly: each account ends at depth \p K, and
+/// installed minus retired versions equals the sum of chain depths.
+void checkSnapshotSumsUnderChurn(unsigned K) {
   constexpr int NumAccounts = 8;
   constexpr int64_t Initial = 1000;
   constexpr int TransfersPerWriter = 2000;
@@ -387,13 +532,42 @@ TEST(Mvcc, SnapshotSumsStayConsistentUnderWriterChurn) {
   // a torn (non-snapshot) state.
   EXPECT_EQ(BadSums.load(), 0);
   int64_t FinalSum = 0;
-  for (auto &A : Accounts)
+  uint64_t Depths = 0;
+  for (auto &A : Accounts) {
     FinalSum += A->Balance.load();
+    EXPECT_EQ(A->historyDepthForTesting(), K);
+    Depths += A->historyDepthForTesting();
+  }
   EXPECT_EQ(FinalSum, NumAccounts * Initial);
   TxStats S = statsNow();
   // Every read-only transaction committed on the never-abort path, exactly
   // once, no matter how many refresh restarts the churn forced.
   EXPECT_EQ(S.SnapshotCommits, uint64_t(NumReaders) * ReadsPerReader);
+  EXPECT_EQ(S.MvVersionsInstalled - S.MvVersionsRetired, Depths);
+}
+
+} // namespace
+
+TEST(Mvcc, SnapshotSumsStayConsistentUnderWriterChurn) {
+  if (!TxManager::mvccEnabled())
+    GTEST_SKIP() << "built with OTM_MVCC=0";
+  checkSnapshotSumsUnderChurn(TxManager::config().MvVersions);
+}
+
+TEST(Mvcc, SnapshotSumsStayConsistentAtDepthOne) {
+  if (!TxManager::mvccEnabled())
+    GTEST_SKIP() << "built with OTM_MVCC=0";
+  ConfigGuard Guard;
+  TxManager::config().MvVersions = 1; // every install cuts the old head
+  checkSnapshotSumsUnderChurn(1);
+}
+
+TEST(Mvcc, SnapshotSumsStayConsistentAtDepthTwo) {
+  if (!TxManager::mvccEnabled())
+    GTEST_SKIP() << "built with OTM_MVCC=0";
+  ConfigGuard Guard;
+  TxManager::config().MvVersions = 2;
+  checkSnapshotSumsUnderChurn(2);
 }
 
 TEST(Mvcc, SchemaStaysCompleteWhenCompiledOut) {

@@ -333,9 +333,14 @@ TEST_F(SchedulerFixture, StrictFifoNoOvertaking) {
   auto TA = Sched().admit(7, A);
   ASSERT_GE(TA.Slot, 0);
 
+  // Grant order comes from the scheduler's own sequence numbers: one
+  // release drains B and then C, and C's thread may wake before B's, so
+  // the threads' own admission flags cannot order the two grants.
   std::atomic<bool> BAdmitted{false}, CAdmitted{false};
+  std::atomic<uint64_t> BSeq{0}, CSeq{0};
   std::thread WaitB([&] {
     auto T = Sched().admit(7, B);
+    BSeq.store(T.GrantSeq);
     BAdmitted.store(true);
     EXPECT_GE(T.Slot, 0);
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -344,18 +349,22 @@ TEST_F(SchedulerFixture, StrictFifoNoOvertaking) {
   std::this_thread::sleep_for(std::chrono::milliseconds(20)); // B parks
   std::thread WaitC([&] {
     auto T = Sched().admit(7, C);
-    // C may only be admitted after B (the head) was granted.
-    EXPECT_TRUE(BAdmitted.load());
+    CSeq.store(T.GrantSeq);
     CAdmitted.store(true);
     EXPECT_GE(T.Slot, 0);
     Sched().release(T, 0);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20)); // C parks too
+  // While A holds its slot, the parked C must not overtake the head B.
   EXPECT_FALSE(BAdmitted.load());
   EXPECT_FALSE(CAdmitted.load());
   Sched().release(TA, 0); // drains B, then C, in order
   WaitB.join();
   WaitC.join();
+  // C may only be granted after B (the head) was granted.
+  EXPECT_GT(TA.GrantSeq, 0u);
+  EXPECT_GT(BSeq.load(), TA.GrantSeq);
+  EXPECT_GT(CSeq.load(), BSeq.load());
 }
 
 TEST_F(SchedulerFixture, AdaptiveGateFlipsUnderAbortStorm) {
