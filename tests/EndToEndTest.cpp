@@ -26,6 +26,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 using namespace otm;
 using namespace otm::bench;
 using namespace otm::interp;
@@ -34,21 +36,29 @@ using namespace otm::tmir;
 
 namespace {
 
+/// Holds an index into tmirPrograms() rather than a pointer: gtest prints
+/// the parameter's raw bytes into each test's listed name, and a pointer's
+/// bytes would change with every build and run under ASLR.
 struct ProgramCase {
-  const TmirProgram *P;
+  uint64_t Index;
+
+  const TmirProgram &program() const {
+    unsigned Count = 0;
+    return tmirPrograms(Count)[Index];
+  }
 };
 
 std::vector<ProgramCase> allPrograms() {
   unsigned Count = 0;
-  const TmirProgram *Programs = tmirPrograms(Count);
+  tmirPrograms(Count);
   std::vector<ProgramCase> Cases;
   for (unsigned I = 0; I < Count; ++I)
-    Cases.push_back({&Programs[I]});
+    Cases.push_back({I});
   return Cases;
 }
 
 std::string caseName(const ::testing::TestParamInfo<ProgramCase> &Info) {
-  std::string Name = Info.param.P->Name;
+  std::string Name = Info.param.program().Name;
   for (char &C : Name)
     if (C == '-')
       C = '_';
@@ -72,7 +82,7 @@ INSTANTIATE_TEST_SUITE_P(AllPrograms, ProgramEquivalence,
                          ::testing::ValuesIn(allPrograms()), caseName);
 
 TEST_P(ProgramEquivalence, UnloweredModesAgree) {
-  const TmirProgram &P = *GetParam().P;
+  const TmirProgram &P = GetParam().program();
   Module M = parseModuleOrDie(P.Source);
   verifyModuleOrDie(M);
   int64_t Seq = runProgram(M, P, Interpreter::TxMode::IgnoreAtomic);
@@ -83,7 +93,7 @@ TEST_P(ProgramEquivalence, UnloweredModesAgree) {
 }
 
 TEST_P(ProgramEquivalence, EveryOptLevelAgreesUnderStm) {
-  const TmirProgram &P = *GetParam().P;
+  const TmirProgram &P = GetParam().program();
   Module Ref = parseModuleOrDie(P.Source);
   verifyModuleOrDie(Ref);
   int64_t Expected = runProgram(Ref, P, Interpreter::TxMode::IgnoreAtomic);
@@ -128,7 +138,7 @@ TEST_P(ProgramEquivalence, EveryOptLevelAgreesUnderStm) {
 }
 
 TEST_P(ProgramEquivalence, SurvivesPrinterRoundTripAfterLowering) {
-  const TmirProgram &P = *GetParam().P;
+  const TmirProgram &P = GetParam().program();
   Module M = parseModuleOrDie(P.Source);
   verifyModuleOrDie(M);
   lowerAndOptimize(M, OptConfig::all());
@@ -142,7 +152,7 @@ TEST_P(ProgramEquivalence, SurvivesPrinterRoundTripAfterLowering) {
 }
 
 TEST_P(ProgramEquivalence, DominatorTreeMatchesNaiveDefinition) {
-  const TmirProgram &P = *GetParam().P;
+  const TmirProgram &P = GetParam().program();
   Module M = parseModuleOrDie(P.Source);
   verifyModuleOrDie(M);
   lowerAndOptimize(M, OptConfig::all()); // richer CFGs (preheaders, clones)
