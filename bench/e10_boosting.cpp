@@ -186,9 +186,6 @@ int main() {
               "%u%%/%u%%/%u%% insert/erase/lookup), boosted vs obj-opt\n",
               KeySpace, BenchZipfSkew, InsertPercent, InsertPercent,
               100 - 2 * InsertPercent);
-  if (!stm::TxManager::boostEnabled())
-    std::printf("NOTE: built with OTM_BOOST=0 — mode=boosted falls back to "
-                "the optimized object-STM path (abort rates match obj-opt)\n");
   printHeaderRule();
   std::printf("%-9s %-8s %7s %10s %11s %9s %10s %11s %10s\n", "struct", "mode",
               "threads", "Kops/s", "commits", "aborts", "ab/Kcommit",

@@ -278,9 +278,6 @@ int main() {
   std::printf("E11: open-loop server workload (rows=%u, %u keys/tx, %u%% "
               "writes/key, zipf skew=%.2f, %d req/thread)\n",
               Rows, TxSize, WritePct, BenchZipfSkew, RequestsPerThread);
-  if (!txn::AdmissionScheduler::compiledIn())
-    std::printf("NOTE: built with OTM_SCHED=0 — sched/adaptive/sampled arms "
-                "run unadmitted (identical to spec)\n");
   double RateOverride = 0.0;
   if (const char *E = std::getenv("OTM_E11_RATE"))
     RateOverride = std::atof(E);

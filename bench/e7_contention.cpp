@@ -125,7 +125,6 @@ void runCell(unsigned WritePercent, unsigned HotSet, BenchReport &Report,
   Report.addRun(std::move(Run));
 }
 
-#if OTM_BOOST
 /// Boosted-mode cell: the same read-modify-write workload expressed with
 /// abstract (pool, index) locks instead of structural opens (DESIGN.md
 /// section 3.10). Both indices are locked semantically — exclusive to
@@ -196,7 +195,6 @@ void runBoostedCell(unsigned WritePercent, unsigned HotSet,
   Run.set("abort_percent", AbortPct);
   Report.addRun(std::move(Run));
 }
-#endif // OTM_BOOST
 
 } // namespace
 
@@ -234,15 +232,11 @@ int main() {
   // Boosted-mode sweep: the same grid under semantic (abstract-lock)
   // conflict detection — rows labelled boosted/writes=…/objs=….
   printHeaderRule();
-#if OTM_BOOST
   std::printf("boosted-mode sweep (semantic conflicts, abstract key locks)\n");
   printHeaderRule();
   for (unsigned WritePercent : {0u, 10u, 50u, 100u})
     for (unsigned HotSet : {4u, 64u, 4096u})
       runBoostedCell(WritePercent, HotSet, Report);
-#else
-  std::printf("boosted-mode sweep skipped: built with OTM_BOOST=0\n");
-#endif
   printHeaderRule();
   std::printf("expected shape: abort rate rises with write ratio and falls "
               "with pool size; eager ownership makes open-time conflicts "

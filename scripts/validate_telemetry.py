@@ -39,22 +39,24 @@ MVCC_KEYS = ("enabled", "snapshot_commits", "snapshot_upgrades",
              "chain_depth")
 
 # Same contract for the "boost" source (transactional boosting, DESIGN.md
-# section 3.10): keys exist with value 0 in OTM_BOOST=0 builds.
+# section 3.10): the tier is always built, so enabled is always true.
 BOOST_KEYS = ("enabled", "lock_acquires", "lock_waits", "commit_ops",
               "undo_ops", "structural_fallbacks", "lock_table_held",
               "lock_table_capacity")
 
 # Same contract for the "sched" source (admission/batching scheduler,
-# DESIGN.md section 3.11): keys exist with value 0 (enabled=false) in
-# OTM_SCHED=0 builds.
+# DESIGN.md section 3.11): enabled is always true; with OTM_SCHED=0 at run
+# time mode reads "off" and every transaction counts as bypassed.
 SCHED_KEYS = ("enabled", "mode", "admitted_immediate", "queued",
               "queue_overflows", "timeout_bypasses", "bypassed", "releases",
               "aborts_reported", "gate_flips_on", "gate_flips_off",
               "gates_on", "max_queue_depth", "queue_wait_us")
 
 # Same contract for the "htm" source (hybrid HTM/STM tier, DESIGN.md
-# section 3.12): keys exist with value 0 (enabled=false) in -DOTM_HTM=0
-# builds and on machines whose runtime probe found no working RTM.
+# section 3.12): keys exist with value 0 (enabled=false) on platforms
+# without the RTM primitives (non-x86-64, TSan builds), and with value 0
+# (available=false) on machines whose runtime probe found no working RTM
+# or that run with OTM_HTM=0.
 HTM_KEYS = ("enabled", "available", "attempts", "commits", "aborts_conflict",
             "aborts_capacity", "aborts_explicit", "aborts_serial",
             "aborts_locked", "aborts_unsupported", "aborts_user",

@@ -304,14 +304,9 @@ struct ObjStmOptPolicy {
 /// the inverse operation via Ctx::onAbort — and deletion is deferred to
 /// commit via Ctx::onCommit (an erase's node must reappear if the
 /// transaction aborts).
-///
-/// With -DOTM_BOOST=0 the tier is compiled out: Boosted turns false (so the
-/// containers' generic paths run) and the hooks degrade to the optimized
-/// object-STM placement, keeping every container correct and every
-/// deterministic count of the non-boosted experiments bit-identical.
 struct BoostedPolicy {
   static constexpr const char *Name = "boosted";
-  static constexpr bool Boosted = stm::TxManager::boostEnabled();
+  static constexpr bool Boosted = true;
   using ObjBase = stm::TxObject;
   template <typename T> using Cell = stm::Field<T>;
   using Ctx = stm::TxManager;
@@ -320,7 +315,6 @@ struct BoostedPolicy {
     stm::Stm::atomic(std::forward<FnType>(Fn));
   }
 
-#if OTM_BOOST
   static void openRead(Ctx &, ObjBase *) {}
   static void openWrite(Ctx &, ObjBase *) {}
 
@@ -363,38 +357,6 @@ struct BoostedPolicy {
   /// Boosted traversals hold the base lock or the structural gate, so they
   /// never observe torn structure: no zombie windows to bound.
   static void checkpoint(Ctx &) {}
-#else
-  // Kill-switch degradation: identical to ObjStmOptPolicy.
-  static void openRead(Ctx &Tx, ObjBase *Obj) { Tx.openForRead(Obj); }
-  static void openWrite(Ctx &Tx, ObjBase *Obj) { Tx.openForUpdate(Obj); }
-
-  template <typename ObjType, typename T>
-  static T load(Ctx &, ObjType *, Cell<T> &C) {
-    return C.load();
-  }
-
-  template <typename ObjType, typename T>
-  static void store(Ctx &Tx, ObjType *, Cell<T> &C, T Value) {
-    Tx.logUndo(&C);
-    C.store(Value);
-  }
-
-  template <typename T, typename... ArgTypes>
-  static T *create(Ctx &Tx, ArgTypes &&...Args) {
-    return Tx.allocInTx<T>(std::forward<ArgTypes>(Args)...);
-  }
-
-  template <typename T> static void destroy(Ctx &Tx, T *Obj) {
-    Tx.retireOnCommit(Obj);
-  }
-
-  template <typename ObjType, typename T>
-  static void initStore(Ctx &, ObjType *, Cell<T> &C, T Value) {
-    C.store(Value);
-  }
-
-  static void checkpoint(Ctx &Tx) { Tx.validateOrAbort(); }
-#endif
 };
 
 namespace detail {

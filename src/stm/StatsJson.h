@@ -114,21 +114,17 @@ inline obs::JsonValue mvccStatsToJson(const TxStats &S) {
 
 /// The boosting tier's view of a stats block: abstract-lock traffic,
 /// deferred-action volume, and the live lock-table occupancy gauge
-/// (DESIGN.md §3.10). The keys exist — with zero values — in OTM_BOOST=0
-/// builds too: the telemetry schema must not fork on the compile switch.
+/// (DESIGN.md §3.10). "enabled" is always true: the tier is always built,
+/// and the key stays so the telemetry schema is unchanged.
 inline obs::JsonValue boostStatsToJson(const TxStats &S) {
   obs::JsonValue V = obs::JsonValue::object();
-  V.set("enabled", OTM_BOOST != 0);
+  V.set("enabled", true);
   V.set("lock_acquires", S.BoostLockAcquires);
   V.set("lock_waits", S.BoostLockWaits);
   V.set("commit_ops", S.BoostCommitOps);
   V.set("undo_ops", S.BoostUndoOps);
   V.set("structural_fallbacks", S.BoostStructuralFallbacks);
-#if OTM_BOOST
   V.set("lock_table_held", txn::AbstractLockTable::instance().heldCount());
-#else
-  V.set("lock_table_held", uint64_t(0));
-#endif
   V.set("lock_table_capacity",
         static_cast<uint64_t>(txn::AbstractLockTable::capacity()));
   return V;
@@ -136,10 +132,10 @@ inline obs::JsonValue boostStatsToJson(const TxStats &S) {
 
 /// The hardware tier's view (DESIGN.md §3.12): attempt/commit volume from
 /// the per-thread stats, abort attribution by code and fallback transitions
-/// from the process-wide CmStats. "enabled" is the compile switch,
-/// "available" the runtime probe verdict — both keys exist (false/0) in
-/// -DOTM_HTM=0 builds and on no-RTM hosts: the telemetry schema must not
-/// fork on either switch.
+/// from the process-wide CmStats. "enabled" says whether the platform has
+/// the RTM primitives (false on non-x86-64 and TSan builds), "available"
+/// is the runtime probe verdict; both keys exist on every build and host,
+/// so the telemetry schema never forks.
 inline obs::JsonValue htmStatsToJson(const TxStats &S,
                                      const txn::CmStatsSnapshot &C) {
   obs::JsonValue V = obs::JsonValue::object();

@@ -95,7 +95,6 @@ struct StmRetryAdapter {
   /// upgrade restart re-enters the gate as a normal writer.
   static bool zeroConflict(Manager &Tx) { return Tx.armAttemptMode(); }
 
-#if OTM_HTM
   // Hardware rung (DESIGN.md §3.12): delegate straight to the manager's
   // hardware-mode surface. htmAttempts is sampled from the live config so
   // tests and benches can flip the budget per phase.
@@ -107,7 +106,6 @@ struct StmRetryAdapter {
   static void htmAbortReset(Manager &Tx) { Tx.htmAbortReset(); }
   static void htmUnpin(Manager &Tx) { Tx.htmUnpin(); }
   static void htmUserAbort(Manager &Tx) { Tx.htmNoteUserAbort(); }
-#endif
 };
 
 class Stm {

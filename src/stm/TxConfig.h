@@ -15,6 +15,7 @@
 #define OTM_STM_TXCONFIG_H
 
 #include "txn/ContentionManager.h"
+#include "txn/Htm.h"
 
 #include <cstdlib>
 
@@ -65,9 +66,9 @@ struct TxConfig {
   /// Hardware (RTM) attempts tried before the software retry ladder — the
   /// top rung of the three-tier escalation (DESIGN.md §3.12). 0 sends every
   /// transaction straight to the STM. The default honors the OTM_HTM=0
-  /// runtime kill switch and OTM_HTM_ATTEMPTS=<n>; the knob is inert when
-  /// the tier is compiled out (-DOTM_HTM=0) or the runtime capability
-  /// probe found no working RTM on this machine.
+  /// (or off) runtime kill switch and OTM_HTM_ATTEMPTS=<n>; the knob is
+  /// inert where the platform has no RTM primitives (non-x86-64, TSan) or
+  /// the runtime capability probe found no working RTM on this machine.
   unsigned HtmAttempts = defaultHtmAttempts();
 
   static unsigned defaultSerialFallbackAfter() {
@@ -83,9 +84,8 @@ struct TxConfig {
   }
 
   static unsigned defaultHtmAttempts() {
-    if (const char *E = std::getenv("OTM_HTM"))
-      if (std::strtoul(E, nullptr, 10) == 0)
-        return 0; // kill switch: OTM_HTM=0 forces the software ladder
+    if (txn::htm::envDisablesHtm(std::getenv("OTM_HTM")))
+      return 0; // kill switch: OTM_HTM=0 forces the software ladder
     if (const char *E = std::getenv("OTM_HTM_ATTEMPTS"))
       return static_cast<unsigned>(std::strtoul(E, nullptr, 10));
     return 8;

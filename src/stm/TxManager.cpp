@@ -61,10 +61,8 @@ bool TxManager::validateEntry(const ReadEntry &Entry) const {
 
 bool TxManager::validate() {
   assert(inTx() && "validate outside a transaction");
-#if OTM_HTM
   if (OTM_UNLIKELY(HtmMode))
     return true; // the speculation hardware keeps the read set coherent
-#endif
   // Walk the raw chunk arrays (no per-index arithmetic) and prefetch the
   // next entry's STM word one step ahead: the words live in the objects,
   // not the log, so a large read set takes a dependent cache miss per
@@ -197,10 +195,8 @@ bool TxManager::tryCommit() {
       if (Entry.FreeOnCommit)
         gc::EpochManager::global().retire(Entry.Raw, Entry.Destroy);
     });
-#if OTM_BOOST
   if (OTM_UNLIKELY(!boostStateEmpty()))
     commitBoostState();
-#endif
   finishAttempt();
   return true;
 }
@@ -237,14 +233,12 @@ void TxManager::rollbackAttempt(AbortTx::Cause Why) {
     if (!Entry.FreeOnCommit)
       gc::EpochManager::global().retire(Entry.Raw, Entry.Destroy);
   });
-#if OTM_BOOST
   // Semantic undo: run the abort handlers (newest first) while the abstract
   // locks are still held, then drop the locks. The structural gate's drain
   // counts a held key lock until this releases it, so a whole-container
   // operation can never observe a half-undone container.
   if (OTM_UNLIKELY(!boostStateEmpty()))
     abortBoostState();
-#endif
   // Snapshot upgrades/refreshes are restarts of a transaction that cannot
   // lose to anyone — keeping them out of Aborts preserves the never-abort
   // accounting the read-only path advertises.
@@ -304,17 +298,13 @@ WordValue TxManager::waitForUnowned(TxObject *Obj) {
   abortAndThrow(AbortTx::Cause::Conflict);
 }
 
-#if OTM_BOOST
-
 void TxManager::boostAcquireKey(uint64_t ContainerId, uint64_t Key) {
   assert(inTx() && "boostAcquireKey outside a transaction");
-#if OTM_HTM
   // Abstract locks outlive the attempt (released at commit/abort time by
   // the deferred-action machinery) — that protocol cannot run inside a
   // hardware region. Boosted operations always take the software tier.
   if (OTM_UNLIKELY(HtmMode))
     txn::htm::abortWith<txn::htm::CodeUnsupported>();
-#endif
 #if OTM_MVCC
   if (OTM_UNLIKELY(SnapshotMode))
     upgradeToWriter(); // boosted ops mutate in place: not read-only
@@ -398,10 +388,8 @@ void TxManager::boostAcquireKey(uint64_t ContainerId, uint64_t Key) {
 
 void TxManager::boostAcquireStructural(uint64_t ContainerId) {
   assert(inTx() && "boostAcquireStructural outside a transaction");
-#if OTM_HTM
   if (OTM_UNLIKELY(HtmMode)) // same rule as boostAcquireKey
     txn::htm::abortWith<txn::htm::CodeUnsupported>();
-#endif
 #if OTM_MVCC
   if (OTM_UNLIKELY(SnapshotMode))
     upgradeToWriter();
@@ -520,8 +508,6 @@ void TxManager::abortBoostState() {
   releaseBoostLocks();
 }
 
-#endif // OTM_BOOST
-
 void TxManager::recordValidationFailureSite() {
   for (std::size_t I = 0, E = ReadLog.size(); I != E; ++I) {
     const ReadEntry &Entry = ReadLog[I];
@@ -542,13 +528,11 @@ void TxManager::abortAndThrow(AbortTx::Cause Why) {
 }
 
 void TxManager::userAbort() {
-#if OTM_HTM
   // Inside a hardware region there is nothing to unwind in software: the
   // explicit abort rolls everything back and hands the executor the User
   // code, which accounts the abort (htmNoteUserAbort) and does not retry.
   if (OTM_UNLIKELY(HtmMode))
     txn::htm::abortWith<txn::htm::CodeUser>();
-#endif
   ++Stats.AbortsByUser;
   abortAndThrow(AbortTx::Cause::User);
 }

@@ -127,9 +127,7 @@ public:
     FilterUndoOn = ActiveConfig.FilterUndo;
     assert(ReadLog.empty() && UpdateLog.empty() && UndoLog.empty() &&
            AllocLog.empty() && "logs leaked from a previous attempt");
-#if OTM_BOOST
     assert(boostStateEmpty() && "boost state leaked from a previous attempt");
-#endif
     EPin.pin(); // nested under RetryController's pre-pin on executor paths
 #if OTM_MVCC
     // The retry layer may have pre-computed the attempt mode (so its gate
@@ -167,7 +165,6 @@ public:
   /// already owns the object for update skips logging entirely.
   void openForRead(TxObject *Obj) {
     assert(inTx() && "openForRead outside a transaction");
-#if OTM_HTM
     // Hardware mode: the speculation hardware tracks the read set, so the
     // only job left is conflict detection against *software* owners — an
     // owned word means a writer is mid-flight with dirty in-place values.
@@ -179,7 +176,6 @@ public:
         txn::htm::abortWith<txn::htm::CodeLocked>();
       return;
     }
-#endif
 #if OTM_MVCC
     // Decomposed opens hand out raw in-place access, which a snapshot
     // cannot honor; only the combined read()/snapshotLoad() barriers are
@@ -210,7 +206,6 @@ public:
   /// and then aborts this transaction.
   void openForUpdate(TxObject *Obj) {
     assert(inTx() && "openForUpdate outside a transaction");
-#if OTM_HTM
     // Hardware mode: no ownership CAS, no update log. Publishing the new
     // version stamp *speculatively* is what keeps software validation
     // exact — if this region commits, every concurrent software read of
@@ -226,7 +221,6 @@ public:
       Obj->Word.store(makeVersion(htmStamp(W)), std::memory_order_relaxed);
       return;
     }
-#endif
 #if OTM_MVCC
     // Dynamic read-only detection: the first update barrier restarts the
     // attempt as a writer (the paper's upgrade rule lifted to tx level).
@@ -258,10 +252,8 @@ public:
   /// opened for update. Filtered dynamically unless disabled.
   template <typename T> void logUndo(Field<T> *F) {
     assert(inTx() && "logUndo outside a transaction");
-#if OTM_HTM
     if (OTM_UNLIKELY(HtmMode))
       return; // the hardware rolls every speculative store back itself
-#endif
     if (FilterUndoOn && !UndoFilter.insert(reinterpret_cast<uintptr_t>(F))) {
       ++Stats.UndosFiltered;
       return;
@@ -285,13 +277,11 @@ public:
   /// Registers an externally allocated object as transaction-local.
   template <typename T> void recordAlloc(T *Obj) {
     assert(inTx() && "recordAlloc outside a transaction");
-#if OTM_HTM
     // Registering a destructor for the abort path cannot work when the
     // abort path is a hardware rollback; escalate to the software tier
     // (which also unwinds the speculative TxPool bump of the allocation).
     if (OTM_UNLIKELY(HtmMode))
       txn::htm::abortWith<txn::htm::CodeUnsupported>();
-#endif
 #if OTM_MVCC
     if (OTM_UNLIKELY(SnapshotMode))
       upgradeToWriter(); // allocation is a side effect: not read-only
@@ -308,10 +298,8 @@ public:
   /// have opened \p Obj for update (so no concurrent committer holds it).
   template <typename T> void retireOnCommit(T *Obj) {
     assert(inTx() && "retireOnCommit outside a transaction");
-#if OTM_HTM
     if (OTM_UNLIKELY(HtmMode)) // epoch retirement is a commit side effect
       txn::htm::abortWith<txn::htm::CodeUnsupported>();
-#endif
 #if OTM_MVCC
     if (OTM_UNLIKELY(SnapshotMode))
       upgradeToWriter(); // deletion is a side effect: not read-only
@@ -460,10 +448,6 @@ public:
   // Deferred actions & abstract locks (transactional boosting, §3.10)
   //===--------------------------------------------------------------------===
 
-  /// True when the boosting tier is compiled in (-DOTM_BOOST, default on).
-  static constexpr bool boostEnabled() { return OTM_BOOST != 0; }
-
-#if OTM_BOOST
   /// Defers \p Fn to run iff the outermost transaction commits, after
   /// write-back and ownership release but *before* the abstract locks are
   /// dropped. Handlers run in registration (FIFO) order. They must not
@@ -507,26 +491,14 @@ public:
   std::size_t deferredAbortCountForTesting() const {
     return AbortActions.size();
   }
-#endif
 
   //===--------------------------------------------------------------------===
   // Hardware (RTM) execution mode — see DESIGN.md §3.12
   //===--------------------------------------------------------------------===
 
-  /// True when the hardware tier is compiled in (-DOTM_HTM, default on for
-  /// x86-64 non-TSan builds).
-  static constexpr bool htmEnabled() { return OTM_HTM != 0; }
-
   /// True while the current attempt runs inside a hardware transaction.
-  bool inHtmMode() const {
-#if OTM_HTM
-    return HtmMode;
-#else
-    return false;
-#endif
-  }
+  bool inHtmMode() const { return HtmMode; }
 
-#if OTM_HTM
   /// Whether the *next* top-level attempt may try the hardware tier.
   /// Snapshot-bound transactions stay on the MVCC path: it already commits
   /// read-only work without validation or aborts, and a hardware attempt
@@ -597,7 +569,6 @@ public:
 #endif
     Obs.onAbort(obs::AuxCauseUser, 0);
   }
-#endif // OTM_HTM
 
   //===--------------------------------------------------------------------===
   // Validation
@@ -749,17 +720,14 @@ private:
   bool snapshotCommit();
 #endif
 
-#if OTM_BOOST
   /// Wraps \p Fn in a TxPool-allocated closure and appends it to \p Log.
   /// The snapshot upgrade happens before the allocation so an upgrade
   /// restart cannot leak the payload.
   template <typename LogType, typename FnType>
   void deferAction(LogType &Log, FnType &&Fn) {
     assert(inTx() && "deferred action outside a transaction");
-#if OTM_HTM
     if (OTM_UNLIKELY(HtmMode)) // deferred handlers need the software logs
       txn::htm::abortWith<txn::htm::CodeUnsupported>();
-#endif
 #if OTM_MVCC
     if (OTM_UNLIKELY(SnapshotMode))
       upgradeToWriter(); // a deferred handler is a side effect
@@ -788,9 +756,7 @@ private:
   bool boostStateEmpty() const {
     return CommitActions.empty() && AbortActions.empty() && BoostLocks.empty();
   }
-#endif
 
-#if OTM_HTM
   /// The version stamp a hardware transaction publishes into the STM words
   /// it writes. Under MVCC every stamp must come from the global commit
   /// clock (snapshot readers order by it), and the fetch_add happens
@@ -814,7 +780,6 @@ private:
     return versionOf(PrevW) + 1;
 #endif
   }
-#endif
 
   template <typename T> static T fieldFromBits(uint64_t Bits) {
     T V;
@@ -847,12 +812,10 @@ private:
   TxConfig ActiveConfig;
   bool FilterReadsOn = true;
   bool FilterUndoOn = true;
-#if OTM_HTM
   bool HtmMode = false; ///< current attempt runs inside a hardware txn
 #if OTM_MVCC
   bool HtmStamped = false;   ///< this hardware attempt drew its clock stamp
   uint64_t HtmStampVal = 0;  ///< ... and this is it
-#endif
 #endif
 #if OTM_MVCC
   bool SnapshotMode = false;   ///< current attempt runs validate-free
@@ -869,12 +832,10 @@ private:
   ChunkedVector<AllocEntry> AllocLog;
   HashFilter ReadFilter;
   HashFilter UndoFilter;
-#if OTM_BOOST
   ChunkedVector<DeferredAction> CommitActions;
   ChunkedVector<DeferredAction> AbortActions;
   ChunkedVector<txn::AbstractLockTable::LockRef> BoostLocks;
   bool RunningDeferred = false;
-#endif
 
   TxStats Stats;
   obs::TxObs Obs;

@@ -43,14 +43,9 @@
 #include <cstdint>
 #include <memory>
 
-/// Compile-time kill switch for the transactional-boosting tier. Defined
-/// here (every boosting-aware file includes this header, directly or via
-/// TxManager.h) and overridable from the build: -DOTM_BOOST=0 compiles out
-/// the deferred-action logs and acquire paths, and BoostedPolicy degrades to
-/// the optimized object-STM hooks so every container stays correct.
-#ifndef OTM_BOOST
+/// Always 1: the boosting tier is always built. Kept only because the
+/// perfbench host block prints it; no library code reads it.
 #define OTM_BOOST 1
-#endif
 
 namespace otm {
 namespace txn {

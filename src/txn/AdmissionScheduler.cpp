@@ -17,15 +17,7 @@
 namespace otm {
 namespace txn {
 
-#if OTM_SCHED
-
-namespace {
-
-/// OTM_SCHED= runtime parse: 0/off -> Off, 1/on -> On, adaptive/unset ->
-/// Adaptive. Unknown values keep the default (adaptive) rather than
-/// surprising a bench with a typo'd full-off.
-SchedMode modeFromEnv() {
-  const char *E = std::getenv("OTM_SCHED");
+SchedMode schedModeFromEnv(const char *E) {
   if (!E)
     return SchedMode::Adaptive;
   if (!std::strcmp(E, "0") || !std::strcmp(E, "off"))
@@ -34,6 +26,8 @@ SchedMode modeFromEnv() {
     return SchedMode::On;
   return SchedMode::Adaptive;
 }
+
+namespace {
 
 void maxRelaxed(std::atomic<uint64_t> &Slot, uint64_t V) {
   uint64_t Cur = Slot.load(std::memory_order_relaxed);
@@ -50,7 +44,8 @@ AdmissionScheduler &AdmissionScheduler::instance() {
 }
 
 AdmissionScheduler::AdmissionScheduler() {
-  Mode.store(modeFromEnv(), std::memory_order_relaxed);
+  Mode.store(schedModeFromEnv(std::getenv("OTM_SCHED")),
+             std::memory_order_relaxed);
   if (const char *E = std::getenv("OTM_SCHED_QUEUE")) {
     long V = std::atol(E);
     if (V > 0)
@@ -295,19 +290,9 @@ void AdmissionScheduler::resetForTesting() {
   QueueWaitMicros.store(0, std::memory_order_relaxed);
 }
 
-#else // !OTM_SCHED
-
-AdmissionScheduler &AdmissionScheduler::instance() {
-  static AdmissionScheduler S;
-  return S;
-}
-
-#endif // OTM_SCHED
-
 obs::JsonValue schedStatsToJson() {
   SchedStatsSnapshot S = AdmissionScheduler::instance().stats();
   const char *ModeName = "off";
-#if OTM_SCHED
   switch (AdmissionScheduler::instance().mode()) {
   case SchedMode::Off:
     ModeName = "off";
@@ -319,9 +304,8 @@ obs::JsonValue schedStatsToJson() {
     ModeName = "adaptive";
     break;
   }
-#endif
   obs::JsonValue V = obs::JsonValue::object();
-  V.set("enabled", AdmissionScheduler::compiledIn());
+  V.set("enabled", true); // schema key; the tier is always built
   V.set("mode", ModeName);
   V.set("admitted_immediate", S.AdmittedImmediate);
   V.set("queued", S.Queued);
@@ -341,9 +325,7 @@ obs::JsonValue schedStatsToJson() {
 #if OTM_OBS_ENABLE
 namespace {
 /// Registers the scheduler as a telemetry source at static-init time, the
-/// same idiom TxManager.cpp uses for the stm/mvcc/boost sources. Keys are
-/// present (zeros, enabled=false) in -DOTM_SCHED=0 builds too, so the
-/// otm-telemetry-v1 schema does not fork on the compile switch.
+/// same idiom TxManager.cpp uses for the stm/mvcc/boost sources.
 struct SchedTelemetrySource {
   SchedTelemetrySource() {
     obs::Telemetry::instance().registerSource("sched",

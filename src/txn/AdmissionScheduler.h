@@ -42,10 +42,10 @@
 /// container-key summaries never meet sampled address-based ones.
 /// Cross-class conflicts remain speculative — safe, just unscheduled.
 ///
-/// Compile-time kill switch: -DOTM_SCHED=0 compiles the shard tables,
-/// queues, and gates out; admit() degrades to an immediate no-op ticket and
-/// Stm::atomicScheduled to plain Stm::atomic. Runtime mode comes from
-/// OTM_SCHED= (off | on | adaptive, default adaptive).
+/// The tier is always built. Its off switch is the runtime mode, read from
+/// OTM_SCHED= (off | on | adaptive, default adaptive): with OTM_SCHED=0
+/// admit() bypasses every transaction and Stm::atomicScheduled behaves as
+/// plain speculation.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -62,11 +62,9 @@
 #include <deque>
 #include <mutex>
 
-/// Compile-time kill switch for the admission/batching tier (CI builds with
-/// -DOTM_SCHED=0 to prove the pure-speculation path stands alone).
-#ifndef OTM_SCHED
+/// Always 1: the admission tier is always built. Kept only because the
+/// perfbench host block prints it; no library code reads it.
 #define OTM_SCHED 1
-#endif
 
 namespace otm {
 namespace txn {
@@ -77,6 +75,11 @@ enum class SchedMode : uint8_t {
   On,       ///< admission always active for every class
   Adaptive, ///< per-class gates driven by measured abort rates (default)
 };
+
+/// Parses an OTM_SCHED value (null when unset): 0/off -> Off, 1/on -> On,
+/// anything else -> Adaptive. Unknown values keep the default rather than
+/// surprising a bench with a typo'd full-off.
+SchedMode schedModeFromEnv(const char *E);
 
 /// Plain snapshot of the scheduler counters (relaxed reads; same memory-
 /// order policy as the other stats blocks).
@@ -95,8 +98,6 @@ struct SchedStatsSnapshot {
   uint64_t QueueWaitMicros = 0;   ///< total time spent parked (nd)
 };
 
-#if OTM_SCHED
-
 class AdmissionScheduler {
 public:
   /// Shards partition classes; slots bound the compat scan; the queue cap
@@ -107,8 +108,6 @@ public:
   static constexpr unsigned NumClasses = 64;    // adaptive gate slots
 
   static AdmissionScheduler &instance();
-
-  static constexpr bool compiledIn() { return true; }
 
   /// Handle for one admitted (or bypassed) transaction; returned by
   /// admit(), consumed by release(). A negative Slot means the transaction
@@ -256,49 +255,9 @@ private:
   std::atomic<uint64_t> QueueWaitMicros{0};
 };
 
-#else // !OTM_SCHED
-
-/// Compiled-out stub: the same surface with every path a no-op, so call
-/// sites (Stm::atomicScheduled, the E11 harness, tests) build unchanged
-/// and behave exactly like pure speculation.
-class AdmissionScheduler {
-public:
-  static constexpr unsigned NumShards = 8;
-  static constexpr unsigned SlotsPerShard = 16;
-  static constexpr unsigned NumClasses = 64;
-
-  static AdmissionScheduler &instance();
-
-  static constexpr bool compiledIn() { return false; }
-
-  struct Ticket {
-    uint32_t Shard = 0;
-    int32_t Slot = -1;
-    uint32_t ClassId = 0;
-    bool Waited = false;
-    uint64_t GrantSeq = 0;
-  };
-
-  Ticket admit(uint32_t, const TxSummary &) { return {}; }
-  void release(Ticket &, uint64_t, uint32_t = 0) {}
-
-  SchedMode mode() const { return SchedMode::Off; }
-  void setMode(SchedMode) {}
-  bool admissionActive(uint32_t) const { return false; }
-  void setGateThresholds(double, double) {}
-  void setGateWindow(unsigned) {}
-  void setQueueCapacity(unsigned) {}
-  unsigned queueCapacity() const { return 0; }
-  void setQueueWaitBudget(std::chrono::microseconds) {}
-  SchedStatsSnapshot stats() const { return {}; }
-  void resetForTesting() {}
-};
-
-#endif // OTM_SCHED
-
 /// The scheduler's view for BENCH_E*.json ("sched" section) and the
-/// telemetry stream ("sched" source). Keys exist — with zero values — in
-/// OTM_SCHED=0 builds too: the schema must not fork on the compile switch.
+/// telemetry stream ("sched" source). "enabled" is always true; it stays
+/// in the schema so older streams and baselines still match.
 obs::JsonValue schedStatsToJson();
 
 } // namespace txn

@@ -16,12 +16,12 @@
 /// probe *committed* a hardware transaction on this machine, so CPUs
 /// without TSX (or with RTM_ALWAYS_ABORT microcode) never reach them.
 ///
-/// Compile-out contract: `-DOTM_HTM=0` (and any non-x86_64 target, and any
-/// ThreadSanitizer build — TSan cannot see into a speculative region, so
-/// instrumented builds must run the software tier) turns this header into a
-/// same-surface stub whose probe reports "unavailable" and whose begin()
-/// routes every caller straight to the STM. Everything above it compiles
-/// unchanged.
+/// On any non-x86_64 target, and in any ThreadSanitizer build (TSan cannot
+/// see into a speculative region, so instrumented builds must run the
+/// software tier), this header is a same-surface stub whose probe reports
+/// "unavailable" and whose begin() routes every caller straight to the STM.
+/// Everything above it compiles unchanged. On x86_64 the runtime off switch
+/// is OTM_HTM=0 (see envDisablesHtm).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,20 +32,14 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 
-/// The compile gate, defaulting on exactly where the primitives can exist.
-/// Forced off under TSan even when requested explicitly: an `_xbegin`
+/// 1 exactly where the primitives can exist. Off under TSan: an `_xbegin`
 /// region is invisible to the race detector, so instrumented builds must
 /// exercise the software path they can actually check.
-#ifndef OTM_HTM
 #if defined(__x86_64__) && !OTM_TSAN
 #define OTM_HTM 1
 #else
-#define OTM_HTM 0
-#endif
-#endif
-#if OTM_HTM && (!defined(__x86_64__) || OTM_TSAN)
-#undef OTM_HTM
 #define OTM_HTM 0
 #endif
 
@@ -72,6 +66,14 @@ inline constexpr uint8_t CodeLocked = 0x05;      ///< software owner seen
 
 inline constexpr uint8_t abortCode(unsigned Status) {
   return static_cast<uint8_t>((Status >> 24) & 0xffu);
+}
+
+/// Parses an OTM_HTM environment value (null when unset). Only "0" and
+/// "off" turn the tier off; unset, empty or any other value leaves it on,
+/// the same rule as OTM_SCHED. TxConfig::defaultHtmAttempts and HtmRuntime
+/// both read the variable through this one parse.
+inline bool envDisablesHtm(const char *E) {
+  return E && (!std::strcmp(E, "0") || !std::strcmp(E, "off"));
 }
 
 #if OTM_HTM
@@ -107,7 +109,7 @@ template <uint8_t Code> [[noreturn]] OTM_ALWAYS_INLINE void abortWith() {
 OTM_ALWAYS_INLINE unsigned begin() { return StatusCapacity; }
 OTM_ALWAYS_INLINE void end() {}
 template <uint8_t Code> [[noreturn]] OTM_ALWAYS_INLINE void abortWith() {
-  OTM_UNREACHABLE("htm::abortWith reached in an OTM_HTM=0 build");
+  OTM_UNREACHABLE("htm::abortWith reached without RTM primitives");
 }
 
 #endif // OTM_HTM
@@ -119,9 +121,10 @@ template <uint8_t Code> [[noreturn]] OTM_ALWAYS_INLINE void abortWith() {
 ///   2. a *functional* probe committed an empty hardware transaction —
 ///      CPUID alone is a lie on RTM_ALWAYS_ABORT parts and under some
 ///      hypervisors, so the only trustworthy signal is a real commit,
-///   3. the OTM_HTM environment kill switch is not "0" (the same variable
-///      also zeroes TxConfig::HtmAttempts; checking here too makes the
-///      switch total even for code that sets attempts programmatically).
+///   3. the OTM_HTM environment kill switch is not set (envDisablesHtm;
+///      the same variable also zeroes TxConfig::HtmAttempts, and checking
+///      here too makes the switch total even for code that sets attempts
+///      programmatically).
 ///
 /// The probe never runs `xbegin` unless CPUID said RTM exists, so no-TSX
 /// hosts execute only CPUID — the #UD trap is unreachable.
@@ -136,16 +139,15 @@ public:
   bool cpuidSupported() const { return CpuidRtm; }
   /// The functional probe committed a hardware transaction.
   bool probeCommitted() const { return Functional; }
-  /// The OTM_HTM=0 environment kill switch is set.
+  /// The OTM_HTM environment kill switch is set (0 or off).
   bool envDisabled() const { return EnvOff; }
   /// All gates passed: the executor may issue hardware attempts.
   bool available() const { return Avail; }
 
 private:
   HtmRuntime() {
+    EnvOff = envDisablesHtm(std::getenv("OTM_HTM"));
 #if OTM_HTM
-    if (const char *E = std::getenv("OTM_HTM"))
-      EnvOff = std::strtoul(E, nullptr, 10) == 0;
     CpuidRtm = cpuidHasRtm();
     if (CpuidRtm && !EnvOff)
       Functional = probeRtm();

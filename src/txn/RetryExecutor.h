@@ -220,7 +220,6 @@ private:
   GateMode Mode = GateMode::Outside;
 };
 
-#if OTM_HTM
 /// The hardware rung of the ladder: up to Adapter::htmAttempts() RTM
 /// attempts before RetryExecutor::atomic falls through to the software
 /// retry loop. Returns true when an attempt committed (or terminally
@@ -327,7 +326,6 @@ bool htmTryExecute(typename Adapter::Manager &Tx, FnType &Fn) {
   CS.bumpHtmFallbacks();
   return false;
 }
-#endif // OTM_HTM
 
 /// The lambda-style retry loop. An Adapter provides:
 ///
@@ -377,13 +375,11 @@ public:
       Fn(Tx);
       return;
     }
-#if OTM_HTM
     // Top rung: hardware attempts, for adapters that opt in. Falls through
     // to the software retry loop on exhaustion or ineligibility.
     if constexpr (requires { Adapter::htmAttempts(); })
       if (htmTryExecute<Adapter>(Tx, Fn))
         return;
-#endif
     const ContentionManager &CM = managerFor(Adapter::policy());
     RetryController Ctl(CM, Adapter::cmState(Tx), Adapter::fallbackAfter(),
                         reinterpret_cast<uintptr_t>(&Tx) *

@@ -86,7 +86,6 @@ public:
   /// TL2 read barrier: pre-validate lock, load, post-validate lock.
   template <typename T> T read(const WCell<T> &Cell) {
     assert(inTx() && "wstm read outside transaction");
-#if OTM_HTM
     if (OTM_UNLIKELY(HtmMode)) {
       // Hardware path: the transactional load of the stripe word is the
       // whole protocol — any software locker's CAS aborts this region. No
@@ -98,7 +97,6 @@ public:
         txn::htm::abortWith<txn::htm::CodeLocked>();
       return Cell.load();
     }
-#endif
     ++Stats.OpensForRead;
     OTM_TRACE_OPEN_EVENT(Obs.Ring, obs::EventKind::OpenForRead, &Cell,
                     obs::AuxWordStm);
@@ -123,7 +121,6 @@ public:
   /// TL2 write barrier: buffer the value in the redo log.
   template <typename T> void write(WCell<T> &Cell, T Value) {
     assert(inTx() && "wstm write outside transaction");
-#if OTM_HTM
     if (OTM_UNLIKELY(HtmMode)) {
       // Hardware path: write in place and advance the stripe version
       // speculatively, so software readers that raced past us revalidate
@@ -138,7 +135,6 @@ public:
       Cell.store(Value);
       return;
     }
-#endif
     ++Stats.OpensForUpdate;
     OTM_TRACE_OPEN_EVENT(Obs.Ring, obs::EventKind::OpenForUpdate, &Cell,
                     obs::AuxWordStm);
@@ -148,10 +144,8 @@ public:
 
   /// Registers a transaction-locally allocated object (deleted on abort).
   template <typename T> void recordAlloc(T *Obj) {
-#if OTM_HTM
     if (OTM_UNLIKELY(HtmMode))
       txn::htm::abortWith<txn::htm::CodeUnsupported>();
-#endif
     Allocs.emplaceBack(static_cast<void *>(Obj),
                        +[](void *P) { delete static_cast<T *>(P); },
                        /*FreeOnCommit=*/false);
@@ -160,10 +154,8 @@ public:
 
   /// Defers deletion of \p Obj to a successful commit (epoch-retired).
   template <typename T> void retireOnCommit(T *Obj) {
-#if OTM_HTM
     if (OTM_UNLIKELY(HtmMode))
       txn::htm::abortWith<txn::htm::CodeUnsupported>();
-#endif
     Allocs.emplaceBack(static_cast<void *>(Obj),
                        +[](void *P) { delete static_cast<T *>(P); },
                        /*FreeOnCommit=*/true);
@@ -192,7 +184,6 @@ public:
   /// this descriptor's tag in a locked stripe).
   txn::CmTxState &cmState() { return CmState; }
 
-#if OTM_HTM
   // Hardware (RTM) execution mode — see DESIGN.md §3.12 and the matching
   // surface on stm::TxManager. The executor calls prepare/unpin outside
   // the region and enter/commit inside it.
@@ -233,7 +224,6 @@ public:
     ++Stats.AbortsByUser;
     Obs.onAbort(obs::AuxCauseUser, obs::AuxWordStm);
   }
-#endif
 
 private:
   WTxManager() = default;
@@ -283,7 +273,6 @@ private:
   /// Clears all per-attempt state and unpins the epoch.
   void finish();
 
-#if OTM_HTM
   /// One global-clock stamp per hardware region, fetched lazily on the
   /// first write barrier. The fetch_add joins the region: if anyone else
   /// touches the clock before we commit, we abort, so a surviving region's
@@ -295,7 +284,6 @@ private:
     }
     return HtmStampVal;
   }
-#endif
 
   unsigned Depth = 0;
   uint64_t ReadVersion = 0;
@@ -308,11 +296,9 @@ private:
   stm::TxStats Stats;
   obs::TxObs Obs;
   txn::CmTxState CmState;
-#if OTM_HTM
   bool HtmMode = false;
   bool HtmStamped = false;
   uint64_t HtmStampVal = 0;
-#endif
 
   /// Cached per-thread pin handle (same rationale as stm::TxManager).
   gc::EpochManager::ThreadPin EPin = gc::EpochManager::global().threadPin();
@@ -361,7 +347,6 @@ struct WstmRetryAdapter {
     return &Tx.stats().PhaseBackoffCycles;
   }
 
-#if OTM_HTM
   // Hardware rung (DESIGN.md §3.12); same shape as StmRetryAdapter's.
   static unsigned htmAttempts() {
     return stm::TxManager::config().HtmAttempts;
@@ -373,7 +358,6 @@ struct WstmRetryAdapter {
   static void htmAbortReset(Manager &Tx) { Tx.htmAbortReset(); }
   static void htmUnpin(Manager &Tx) { Tx.htmUnpin(); }
   static void htmUserAbort(Manager &Tx) { Tx.htmNoteUserAbort(); }
-#endif
 };
 
 /// Public entry point mirroring stm::Stm::atomic for the baseline STM.

@@ -11,12 +11,6 @@
 /// structural-fallback gate, and a boosted-vs-ObjStmOpt differential over
 /// random multi-op transactions.
 ///
-/// Every test also passes with -DOTM_BOOST=0: the BoostedPolicy then
-/// degrades to the optimized object-STM placement, whose value-level undo
-/// restores the same states the semantic inverses do. Checks that only make
-/// sense when the boost tier is compiled in are gated on
-/// stm::TxManager::boostEnabled().
-///
 //===----------------------------------------------------------------------===//
 
 #include "containers/HashMap.h"
@@ -46,7 +40,6 @@ using otm::stm::TxManager;
 // Deferred-action subsystem
 //===----------------------------------------------------------------------===//
 
-#if OTM_BOOST
 TEST(DeferredActions, CommitRunsFifoAbortHandlersDisposed) {
   std::vector<int> Order;
   bool AbortRan = false;
@@ -92,7 +85,6 @@ TEST(DeferredActions, LogsEmptyAfterEitherOutcome) {
     EXPECT_EQ(Tx.deferredAbortCountForTesting(), 0u);
   });
 }
-#endif // OTM_BOOST
 
 //===----------------------------------------------------------------------===//
 // Semantic undo on abort, all four containers
@@ -207,33 +199,29 @@ TEST(BoostUndo, EraseThenInsertSameKeyAborted) {
 }
 
 TEST(BoostUndo, LockTableDrainedAfterTransactions) {
-  if constexpr (TxManager::boostEnabled()) {
-    HashMap<BoostedPolicy> Map(64);
-    seed(Map, 16);
-    Stm::atomic([&](TxManager &Tx) {
-      Map.insert(99, 1);
-      Tx.userAbort();
-    });
-    EXPECT_EQ(txn::AbstractLockTable::instance().heldCount(), 0u)
-        << "every abstract lock must be released on both outcomes";
-  }
+  HashMap<BoostedPolicy> Map(64);
+  seed(Map, 16);
+  Stm::atomic([&](TxManager &Tx) {
+    Map.insert(99, 1);
+    Tx.userAbort();
+  });
+  EXPECT_EQ(txn::AbstractLockTable::instance().heldCount(), 0u)
+      << "every abstract lock must be released on both outcomes";
 }
 
 TEST(BoostUndo, StatsCountAcquiresAndUndos) {
-  if constexpr (TxManager::boostEnabled()) {
-    TxManager::current().flushStats();
-    auto Before = stm::GlobalTxStats::instance().snapshot();
-    HashMap<BoostedPolicy> Map(64);
-    seed(Map, 4);
-    Stm::atomic([&](TxManager &Tx) {
-      Map.insert(50, 5);
-      Tx.userAbort();
-    });
-    TxManager::current().flushStats();
-    auto After = stm::GlobalTxStats::instance().snapshot();
-    EXPECT_GE(After.BoostLockAcquires - Before.BoostLockAcquires, 5u);
-    EXPECT_GE(After.BoostUndoOps - Before.BoostUndoOps, 1u);
-  }
+  TxManager::current().flushStats();
+  auto Before = stm::GlobalTxStats::instance().snapshot();
+  HashMap<BoostedPolicy> Map(64);
+  seed(Map, 4);
+  Stm::atomic([&](TxManager &Tx) {
+    Map.insert(50, 5);
+    Tx.userAbort();
+  });
+  TxManager::current().flushStats();
+  auto After = stm::GlobalTxStats::instance().snapshot();
+  EXPECT_GE(After.BoostLockAcquires - Before.BoostLockAcquires, 5u);
+  EXPECT_GE(After.BoostUndoOps - Before.BoostUndoOps, 1u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -338,9 +326,7 @@ TEST(BoostConcurrency, ContendedKeysStayConsistent) {
     Th.join();
   EXPECT_TRUE(Map.checkPlacementSlow());
   EXPECT_LE(Map.sizeSlow(), 16u);
-  if constexpr (TxManager::boostEnabled()) {
-    EXPECT_EQ(txn::AbstractLockTable::instance().heldCount(), 0u);
-  }
+  EXPECT_EQ(txn::AbstractLockTable::instance().heldCount(), 0u);
 }
 
 TEST(BoostConcurrency, MultiKeyTransfersPreserveSum) {

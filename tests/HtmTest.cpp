@@ -15,8 +15,9 @@
 /// Unlike the other suites, this binary is registered WITHOUT the
 /// OTM_HTM=0 environment pin, so it sees the machine's real capability.
 /// Every hardware-dependent test skips itself when the runtime probe
-/// reports no working RTM (or the tier is compiled out): the suite still
-/// links and passes everywhere, proving the same-surface stub contract.
+/// reports no working RTM (or the platform has no RTM primitives): the
+/// suite still links and passes everywhere, proving the same-surface stub
+/// contract.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -116,7 +117,8 @@ TEST(HtmProbe, ReportsConsistentCapability) {
     EXPECT_TRUE(R.cpuidSupported());
   }
 #if !OTM_HTM
-  // Compiled out: the stub runtime must answer "no" on every gate.
+  // No primitives (non-x86-64 or TSan): the stub must answer "no" on every
+  // gate.
   EXPECT_FALSE(R.available());
   EXPECT_FALSE(R.cpuidSupported());
   EXPECT_FALSE(R.probeCommitted());
@@ -134,6 +136,26 @@ TEST(HtmProbe, RuntimeKillSwitchZeroesDefaultAttempts) {
   EXPECT_EQ(TxConfig::defaultHtmAttempts(), 5u);
   unsetenv("OTM_HTM_ATTEMPTS");
   EXPECT_EQ(TxConfig::defaultHtmAttempts(), 8u);
+}
+
+TEST(HtmProbe, OnlyZeroOrOffDisablesTheTier) {
+  // OTM_HTM is the tier's documented off switch. Values that read as "on"
+  // (and an empty value) must leave it on, the same rule as OTM_SCHED.
+  EnvGuard Htm("OTM_HTM"), Attempts("OTM_HTM_ATTEMPTS");
+  unsetenv("OTM_HTM_ATTEMPTS");
+  struct Case {
+    const char *Value;
+    bool Disables;
+  };
+  for (const Case &C : {Case{"0", true}, Case{"off", true}, Case{"1", false},
+                        Case{"on", false}, Case{"", false}}) {
+    EXPECT_EQ(txn::htm::envDisablesHtm(C.Value), C.Disables)
+        << "OTM_HTM='" << C.Value << "'";
+    setenv("OTM_HTM", C.Value, 1);
+    EXPECT_EQ(TxConfig::defaultHtmAttempts(), C.Disables ? 0u : 8u)
+        << "OTM_HTM='" << C.Value << "'";
+  }
+  EXPECT_FALSE(txn::htm::envDisablesHtm(nullptr)); // unset
 }
 
 //===----------------------------------------------------------------------===//

@@ -222,8 +222,6 @@ TEST(HashFilterFingerprintTest, ConservativeAcrossFilters) {
 class SchedulerFixture : public ::testing::Test {
 protected:
   void SetUp() override {
-    if (!AdmissionScheduler::compiledIn())
-      GTEST_SKIP() << "built with OTM_SCHED=0";
     Sched().resetForTesting();
     SavedMode = Sched().mode();
     SavedCap = Sched().queueCapacity();
@@ -231,8 +229,6 @@ protected:
   }
 
   void TearDown() override {
-    if (!AdmissionScheduler::compiledIn())
-      return;
     Sched().resetForTesting();
     Sched().setMode(SavedMode);
     Sched().setQueueCapacity(SavedCap ? SavedCap : 64);
@@ -406,9 +402,24 @@ TEST_F(SchedulerFixture, OffModeBypassesEverything) {
   Sched().release(TB, 0);
 }
 
+TEST(SchedulerEnvTest, ModeParseTable) {
+  // OTM_SCHED is the tier's only off switch, so its parse is pinned here.
+  // Unknown values keep the adaptive default rather than turning it off.
+  struct Case {
+    const char *Value;
+    SchedMode Want;
+  };
+  for (const Case &C : {Case{nullptr, SchedMode::Adaptive},
+                        Case{"0", SchedMode::Off}, Case{"off", SchedMode::Off},
+                        Case{"1", SchedMode::On}, Case{"on", SchedMode::On},
+                        Case{"adaptive", SchedMode::Adaptive},
+                        Case{"garbage", SchedMode::Adaptive}})
+    EXPECT_EQ(txn::schedModeFromEnv(C.Value), C.Want)
+        << "OTM_SCHED=" << (C.Value ? C.Value : "(unset)");
+}
+
 TEST(SchedulerJsonTest, StatsKeysAlwaysPresent) {
-  // The telemetry/bench schema must not fork on the compile switch: every
-  // key exists (zeros when compiled out), plus the enabled flag.
+  // Every key of the telemetry/bench schema exists, "enabled" included.
   obs::JsonValue V = txn::schedStatsToJson();
   for (const char *Key :
        {"enabled", "mode", "admitted_immediate", "queued", "queue_overflows",
@@ -586,8 +597,6 @@ TEST_F(SchedulerFixture, DifferentialSchedOnEqualsSchedOff) {
 //===----------------------------------------------------------------------===//
 
 TEST(SchedulerConcurrencyTest, MixedArmsHammer) {
-  if (!AdmissionScheduler::compiledIn())
-    GTEST_SKIP() << "built with OTM_SCHED=0";
   auto &Sched = AdmissionScheduler::instance();
   Sched.resetForTesting();
   SchedMode Saved = Sched.mode();
@@ -650,8 +659,6 @@ TEST(SchedulerConcurrencyTest, MixedArmsHammer) {
 }
 
 TEST(SchedulerConcurrencyTest, AdaptiveFlipsWhileAdmitting) {
-  if (!AdmissionScheduler::compiledIn())
-    GTEST_SKIP() << "built with OTM_SCHED=0";
   auto &Sched = AdmissionScheduler::instance();
   Sched.resetForTesting();
   SchedMode Saved = Sched.mode();
