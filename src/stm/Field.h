@@ -13,6 +13,13 @@
 /// Field<T> performs all accesses with relaxed atomics, which compiles to
 /// ordinary loads and stores on x86 while keeping the program well defined.
 ///
+/// Pointer-typed fields are the exception: they store with release and load
+/// with acquire. An object built by allocInTx and linked in through an
+/// in-place pointer store is published by that store alone (no STM word
+/// orders its construction), so a concurrent reader that follows the
+/// pointer needs the store to carry the happens-before edge. On x86 both
+/// orders compile to the same plain moves as relaxed.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef OTM_STM_FIELD_H
@@ -42,11 +49,11 @@ public:
 
   /// Reads the field. The caller must have opened the owning object for
   /// read or update (or otherwise know the access is safe).
-  T load() const { return Value.load(std::memory_order_relaxed); }
+  T load() const { return Value.load(LoadOrder); }
 
   /// Writes the field. The caller must have opened the owning object for
   /// update and logged the old value with TxManager::logUndo.
-  void store(T V) { Value.store(V, std::memory_order_relaxed); }
+  void store(T V) { Value.store(V, StoreOrder); }
 
   /// Bit pattern of the current value, padded to 64 bits (undo logging).
   uint64_t bitsForUndo() const {
@@ -64,6 +71,13 @@ public:
   }
 
 private:
+  static constexpr std::memory_order LoadOrder =
+      std::is_pointer_v<T> ? std::memory_order_acquire
+                           : std::memory_order_relaxed;
+  static constexpr std::memory_order StoreOrder =
+      std::is_pointer_v<T> ? std::memory_order_release
+                           : std::memory_order_relaxed;
+
   std::atomic<T> Value;
 };
 

@@ -16,10 +16,16 @@
 /// prepended to its chain, pointing at the shared record; a snapshot reader
 /// that finds the in-place value too new walks its object's chain
 /// newest-to-oldest and reconstructs the field as of its begin stamp from
-/// the pre-images. Chains are truncated to TxConfig.MvVersions nodes at
-/// install time; cut nodes (and records whose reference count reaches
-/// zero) are retired through the existing epoch reclaimer, so a reader
-/// paused mid-walk keeps everything it can reach alive via its pin.
+/// the pre-images.
+///
+/// A commit's nodes live inside its record, in one pool block:
+/// [MvRecord | NumFields x MvField | NumObjects x MvNode]. Chains are
+/// truncated to TxConfig.MvVersions nodes at install time; a cut node only
+/// drops its record's ChainRefs, and the record — nodes included — is
+/// retired through the existing epoch reclaimer once, when its last node is
+/// cut. A cut node's memory therefore lives until its record retires, at an
+/// epoch no earlier than the cut, so a reader paused mid-walk keeps
+/// everything it can reach alive via its pin.
 ///
 /// Truncation is O(1). Each node also carries a writer-only Newer back
 /// link, and the object keeps a writer-only tail word: the chain's oldest
@@ -37,8 +43,6 @@
 
 #ifndef OTM_STM_MVCC_H
 #define OTM_STM_MVCC_H
-
-#include "support/TxPool.h"
 
 #include <atomic>
 #include <cstdint>
@@ -60,39 +64,46 @@ struct MvField {
   uint64_t Bits;
 };
 
+struct MvNode;
+
 /// One committed write-back, shared by every object the commit touched.
 /// Fields are stored in undo-log order, so within one record the *first*
 /// match for an address is the oldest pre-image (the value as of the
 /// commit's own begin) — exactly what a reader below this stamp needs.
+/// The commit's chain nodes follow the fields in the same block.
 /// Trivially destructible: retirement frees the raw block.
 struct MvRecord {
   uint64_t NewStamp;               ///< commit stamp this record installed
-  std::atomic<uint32_t> ChainRefs; ///< MvNodes (across objects) pointing here
+  std::atomic<uint32_t> ChainRefs; ///< embedded nodes still on a chain
   uint32_t NumFields;
 
   MvField *fields() { return reinterpret_cast<MvField *>(this + 1); }
   const MvField *fields() const {
     return reinterpret_cast<const MvField *>(this + 1);
   }
+  MvNode *nodes() { return reinterpret_cast<MvNode *>(fields() + NumFields); }
 };
 
-/// One link in an object's version chain (newest first). PrevStamp is the
-/// stamp the object carried *before* this commit, so a walker knows when
-/// the remaining history is at or below its snapshot without dereferencing
-/// the older node. Newer points the other way (null at the head); only
-/// the update owner of the object reads or writes it.
+/// One link in an object's version chain (newest first), embedded in its
+/// commit's record. PrevStamp is the stamp the object carried *before* this
+/// commit, so a walker knows when the remaining history is at or below its
+/// snapshot without dereferencing the older node. Newer points the other
+/// way (null at the head); only the update owner of the object reads or
+/// writes it.
 struct MvNode {
   MvRecord *Rec;
   std::atomic<MvNode *> Older;
   uint64_t PrevStamp;
   MvNode *Newer;
 };
-// The back link must not push nodes out of the pool's smallest size class.
-static_assert(sizeof(MvNode) <= support::TxPool::classSize(0),
-              "MvNode must stay in the 32-byte TxPool class");
+// Pool payloads are 16-byte aligned; with every part of the block a
+// multiple of 16 bytes, each embedded node leaves the tail tag bits free.
+static_assert(sizeof(MvRecord) % 16 == 0 && sizeof(MvField) % 16 == 0 &&
+                  sizeof(MvNode) % 16 == 0,
+              "embedded MvNodes must stay 16-byte aligned");
 
 /// Tail word encoding: the chain's oldest node, with the chain depth in the
-/// low bits (pool payloads are 16-byte aligned, so they are free). 0 means
+/// low bits (embedded nodes are 16-byte aligned, so they are free). 0 means
 /// untagged: the depth is unknown and the next install walks the chain.
 constexpr uintptr_t TailDepthMask = 15;
 constexpr unsigned MaxTaggedDepth = TailDepthMask;

@@ -540,23 +540,35 @@ void TxManager::userAbort() {
 #if OTM_MVCC
 
 namespace {
-/// MvRecord/MvNode blocks come from the transaction pool; retirement frees
-/// them raw (both types are trivially destructible).
+/// MvRecord blocks (nodes included) come from the transaction pool;
+/// retirement frees them raw (all three parts are trivially destructible).
 void freePoolBlock(void *P) { support::TxPool::deallocate(P); }
+
+/// Drops one node's reference to its record and epoch-retires the whole
+/// block when that was the last one. The block's memory — every node in it,
+/// cut or not — stays valid until a grace period after this call, so a
+/// reader that reached any of its nodes under a pin can finish its walk.
+void dropRecordRef(mv::MvRecord *Rec) {
+  if (Rec->ChainRefs.fetch_sub(1, std::memory_order_acq_rel) == 1)
+    gc::EpochManager::global().retire(Rec, freePoolBlock);
+}
 } // namespace
 
 void TxManager::installVersions(uint64_t CommitStamp) {
   assert(!UpdateLog.empty() && "nothing to version");
   const std::size_t NumFields = UndoLog.size();
+  const std::size_t NumNodes = UpdateLog.size();
   // One shared record per commit carries the whole undo log (the
-  // pre-images); one node per written object links it into that object's
-  // chain. Within the record, fields keep undo-log order, so the first
-  // match for an address is the oldest pre-image even when undo filtering
-  // is off and duplicates exist.
+  // pre-images) and, behind it, one node per written object that links the
+  // record into that object's chain: one allocation per commit. Within the
+  // record, fields keep undo-log order, so the first match for an address
+  // is the oldest pre-image even when undo filtering is off and duplicates
+  // exist.
   auto *Rec = static_cast<mv::MvRecord *>(support::TxPool::allocate(
-      sizeof(mv::MvRecord) + NumFields * sizeof(mv::MvField)));
+      sizeof(mv::MvRecord) + NumFields * sizeof(mv::MvField) +
+      NumNodes * sizeof(mv::MvNode)));
   Rec->NewStamp = CommitStamp;
-  Rec->ChainRefs.store(static_cast<uint32_t>(UpdateLog.size()),
+  Rec->ChainRefs.store(static_cast<uint32_t>(NumNodes),
                        std::memory_order_relaxed);
   Rec->NumFields = static_cast<uint32_t>(NumFields);
   std::size_t I = 0;
@@ -565,12 +577,12 @@ void TxManager::installVersions(uint64_t CommitStamp) {
   });
 
   const unsigned K = ActiveConfig.MvVersions;
+  mv::MvNode *Nodes = Rec->nodes();
   UpdateLog.forEach([&](UpdateEntry &Entry) {
     TxObject *Obj = Entry.Obj;
-    auto *Node =
-        static_cast<mv::MvNode *>(support::TxPool::allocate(sizeof(mv::MvNode)));
+    mv::MvNode *Node = Nodes++;
     assert((reinterpret_cast<uintptr_t>(Node) & mv::TailDepthMask) == 0 &&
-           "pool payloads leave the tail word's tag bits free");
+           "embedded nodes leave the tail word's tag bits free");
     Node->Rec = Rec;
     // We hold update ownership of Obj, so its chain head, tail word and
     // back links are ours alone to write; readers get the node (and the
@@ -585,8 +597,9 @@ void TxManager::installVersions(uint64_t CommitStamp) {
     ++Stats.MvVersionsInstalled;
 
     // Truncate the chain to K nodes. Readers paused inside the cut tail
-    // stay safe: the nodes (and the records they reference) are retired
-    // through the epoch reclaimer, which waits out every active pin.
+    // stay safe: a cut node lives in its record, which is retired through
+    // the epoch reclaimer no earlier than this cut and so outlasts every
+    // pin that could have reached the node.
     const uintptr_t Tag = Obj->HistTail;
     const unsigned Depth = mv::tailDepth(Tag); // before this install
     unsigned NewDepth;
@@ -610,9 +623,7 @@ void TxManager::installVersions(uint64_t CommitStamp) {
 }
 
 void TxManager::retireVersion(mv::MvNode *Cut) {
-  if (Cut->Rec->ChainRefs.fetch_sub(1, std::memory_order_acq_rel) == 1)
-    gc::EpochManager::global().retire(Cut->Rec, freePoolBlock);
-  gc::EpochManager::global().retire(Cut, freePoolBlock);
+  dropRecordRef(Cut->Rec);
   ++Stats.MvVersionsRetired;
 }
 
@@ -742,18 +753,16 @@ void TxManager::refreshSnapshot() {
 void TxObject::releaseHistory() noexcept {
   // Runs from the destructor: any reader that could have reached this chain
   // head was waited out by the epoch grace period that preceded the delete
-  // (shared objects die via retireOnCommit), so the nodes are unreachable
-  // and freed directly. Records may still be referenced by *other* objects'
-  // chains and readers thereof — drop our reference and epoch-retire on
-  // zero.
+  // (shared objects die via retireOnCommit). The nodes live inside records
+  // that other objects' chains (and readers thereof) may still use, so each
+  // node only drops its record's reference; the record is epoch-retired on
+  // zero, exactly as when a node is cut.
   mv::MvNode *Node = Hist.load(std::memory_order_relaxed);
   Hist.store(nullptr, std::memory_order_relaxed);
   HistTail = 0;
   while (Node) {
     mv::MvNode *Older = Node->Older.load(std::memory_order_relaxed);
-    if (Node->Rec->ChainRefs.fetch_sub(1, std::memory_order_acq_rel) == 1)
-      gc::EpochManager::global().retire(Node->Rec, freePoolBlock);
-    support::TxPool::deallocate(Node);
+    dropRecordRef(Node->Rec);
     Node = Older;
   }
 }

@@ -702,13 +702,14 @@ private:
                                   WordValue W, uint64_t &Bits) const;
 
   /// Commit-side chain maintenance: builds the shared pre-image record from
-  /// the undo log, prepends one node per updated object, truncates each
-  /// chain to ActiveConfig.MvVersions, and epoch-retires the cut tails.
-  /// A full chain with a valid tail word loses its tail in O(1).
+  /// the undo log in one allocation with one embedded node per updated
+  /// object, prepends each node to its object's chain, and truncates each
+  /// chain to ActiveConfig.MvVersions. A full chain with a valid tail word
+  /// loses its tail in O(1).
   void installVersions(uint64_t CommitStamp);
 
-  /// Drops one cut node's reference to its record and epoch-retires the
-  /// node (and the record, on its last reference).
+  /// Cuts one node: drops its reference to its record and epoch-retires
+  /// the record, nodes included, on the last reference.
   void retireVersion(mv::MvNode *Cut);
 
   /// Resync fallback of installVersions: walks \p Obj's chain from its new

@@ -49,8 +49,10 @@ public:
 #if OTM_MVCC
   /// Version-chain teardown. By the time an object is destroyed (always
   /// after an epoch grace period when it was shared) no snapshot reader can
-  /// reach its chain head anymore, so the nodes are freed directly; shared
-  /// records are epoch-retired when their last reference drops.
+  /// reach its chain head anymore. Each node lives inside its commit's
+  /// record, which other objects' chains may share, so teardown only drops
+  /// one record reference per node; a record (with all its nodes) is
+  /// epoch-retired when its last reference drops.
   ~TxObject() {
     if (Hist.load(std::memory_order_relaxed))
       releaseHistory();
@@ -122,7 +124,7 @@ private:
   /// snapshot readers never look at it.
   uintptr_t HistTail = 0;
 
-  /// Out of line (TxManager.cpp): frees the chain at destruction.
+  /// Out of line (TxManager.cpp): releases the chain at destruction.
   void releaseHistory() noexcept;
 #endif
 };

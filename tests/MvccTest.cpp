@@ -343,9 +343,40 @@ TEST(Mvcc, DestroyingPartlyAndFullyGrownChainsFreesEverything) {
   commitAndCheck(*Fresh, 4, 6, 0);
   delete Fresh;
   EM.drainForTesting();
-  // Truncation retired 2 + 2 nodes with their records; the destructors
-  // free nodes directly and retire the 2 + 4 + 4 records left behind.
-  EXPECT_EQ(EM.freedCount() - Freed0, 8u + 10u);
+  // Each record holds its commit's node, so each retires once: truncation
+  // retired 2 + 2 records, and the destructors the 2 + 4 + 4 left behind.
+  EXPECT_EQ(EM.freedCount() - Freed0, 4u + 10u);
+}
+
+TEST(Mvcc, RecordRetiredOnceWhenLastNodeCut) {
+  if (!TxManager::mvccEnabled())
+    GTEST_SKIP() << "built with OTM_MVCC=0";
+  ConfigGuard Guard;
+  TxManager::config().MvVersions = 1;
+  gc::EpochManager &EM = gc::EpochManager::global();
+  auto *A = new Counter();
+  auto *B = new Counter();
+  // One record, embedding one node for each object.
+  Stm::atomic([&](TxManager &Tx) {
+    Tx.write(A, &Counter::Value, int64_t{1});
+    Tx.write(B, &Counter::Value, int64_t{1});
+  });
+  EM.drainForTesting();
+  const uint64_t Freed0 = EM.freedCount();
+  // Cutting A's node leaves B's node holding the shared record.
+  commitWrite(*A, 2);
+  EM.drainForTesting();
+  EXPECT_EQ(EM.freedCount() - Freed0, 0u);
+  // Cutting B's node drops the last reference: the record retires once.
+  commitWrite(*B, 2);
+  EM.drainForTesting();
+  EXPECT_EQ(EM.freedCount() - Freed0, 1u);
+  // Teardown retires only the two single-object records still on a chain;
+  // the shared one is not retired again.
+  delete A;
+  delete B;
+  EM.drainForTesting();
+  EXPECT_EQ(EM.freedCount() - Freed0, 3u);
 }
 
 TEST(Mvcc, TruncatedChainRefreshesInsteadOfServingTooNewState) {
@@ -419,9 +450,9 @@ TEST(Mvcc, VersionsAreReclaimedThroughTheEpochManager) {
   EXPECT_EQ(S.MvVersionsInstalled, 60u);
   EXPECT_EQ(S.MvVersionsRetired, 40u); // 4 truncated per object, 10 objects
   EM.drainForTesting();
-  // Every truncated node+record and every destructor-retired record is
-  // actually freed once the epochs drain.
-  EXPECT_GE(EM.freedCount() - Freed0, 40u);
+  // Every record is freed exactly once when the epochs drain: per object,
+  // 4 cut by truncation plus the 2 the destructor drops.
+  EXPECT_EQ(EM.freedCount() - Freed0, 60u);
 }
 
 TEST(Mvcc, SnapshotReadersRunWhileSerialGateIsHeld) {

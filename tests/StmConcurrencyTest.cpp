@@ -235,22 +235,33 @@ TEST(StmConcurrency, StarvedReaderCommitsThroughSerialFallback) {
   TxManager::config().SerialFallbackAfter = 8; // escalate quickly
   std::vector<Counter> Counters(NumCounters);
   std::atomic<bool> Done{false};
+  std::atomic<int> WritersRunning{0};
   txn::CmStatsSnapshot Before = txn::CmStats::instance().snapshot();
 
   std::vector<std::thread> Writers;
   for (int W = 0; W < NumWriters; ++W)
     Writers.emplace_back([&, W] {
       Xoshiro256 Rng(4200 + W);
-      while (!Done.load(std::memory_order_acquire))
+      bool Counted = false;
+      while (!Done.load(std::memory_order_acquire)) {
         Stm::atomic([&](TxManager &Tx) {
           Counter &C = Counters[Rng.nextBelow(NumCounters)];
           Tx.write(&C, &Counter::Value, Tx.read(&C, &Counter::Value) + 1);
         });
+        if (!Counted) {
+          Counted = true;
+          WritersRunning.fetch_add(1, std::memory_order_release);
+        }
+      }
     });
 
   int64_t Sum = -1;
   unsigned Attempts = 0;
   std::thread Reader([&] {
+    // Scan only once every writer commits: a scan that finishes before the
+    // writer threads get scheduled commits unopposed and proves nothing.
+    while (WritersRunning.load(std::memory_order_acquire) < NumWriters)
+      std::this_thread::yield();
     Stm::atomic([&](TxManager &Tx) {
       ++Attempts;
       int64_t S = 0;
