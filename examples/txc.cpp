@@ -13,6 +13,8 @@
 //
 // Usage: txc [file.tmir [entry-function]]
 //
+// With a file but no entry function, txc only compiles and prints.
+//
 //===----------------------------------------------------------------------===//
 
 #include "interp/Interp.h"
@@ -176,6 +178,8 @@ int main(int argc, char **argv) {
                 static_cast<long long>(R.Value));
     return 0;
   }
+  if (argc > 1)
+    return 0; // file mode without an entry: compile and print only
 
   // Demo mode: run naive vs optimized and compare dynamic behaviour.
   std::printf("\n=== executing (1000 transfers of 5 from a 10000 "

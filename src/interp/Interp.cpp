@@ -162,7 +162,11 @@ Interpreter::Interpreter(Module &M, Options Opts) : M(M), Opts(Opts) {
 
 HeapObject *Interpreter::makeObject(const std::string &ClassName) {
   int Id = M.classIndex(ClassName);
-  assert(Id >= 0 && "unknown class");
+  if (Id < 0) {
+    std::fprintf(stderr, "otm: makeObject: the module has no class '%s'\n",
+                 ClassName.c_str());
+    std::abort();
+  }
   return TheHeap.allocObject(&M.Classes[Id]);
 }
 

@@ -164,6 +164,7 @@ public:
   bool usesThreadedDispatch() const { return UseThreaded; }
 
   /// Allocates an object/array usable as a run() argument (setup phases).
+  /// An unknown class name is a fatal error in every build mode.
   HeapObject *makeObject(const std::string &ClassName);
   HeapObject *makeArray(std::size_t Length);
 

@@ -6,15 +6,19 @@
 ///
 /// \file
 /// The public face of the direct-update STM: Stm::atomic runs a lambda as a
-/// transaction with automatic retry, which is what an `atomic { ... }`
-/// block lowers to. Inside the lambda the TxManager exposes the decomposed
-/// barriers that the compiler (or careful hand-written code) places.
+/// transaction with automatic retry and returns its result, which is what
+/// an `atomic { ... }` block lowers to. Inside the lambda the TxManager
+/// exposes the decomposed barriers that the compiler (or careful
+/// hand-written code) places.
 ///
-/// The retry loop itself lives in the shared transaction-execution layer
-/// (txn::RetryExecutor): this header only supplies the adapter that binds
-/// the loop to stm::TxManager's begin/commit/abort protocol. Contention
-/// policy and the serial-fallback budget come from TxConfig (and the
-/// OTM_CM / OTM_RETRY_BUDGET environment variables).
+/// Every entry point runs the one retry loop of the shared
+/// transaction-execution layer (txn::RetryExecutor) under a per-call mode:
+/// atomicReadOnly declares the call read-only (MVCC snapshot attempts), and
+/// atomicScheduled routes it through the admission scheduler. This header
+/// supplies the adapter that binds the loop to stm::TxManager's
+/// begin/commit/abort protocol. Contention policy and the serial-fallback
+/// budget come from TxConfig (and the OTM_CM / OTM_RETRY_BUDGET environment
+/// variables).
 ///
 /// \code
 ///   otm::stm::Stm::atomic([&](otm::stm::TxManager &Tx) {
@@ -34,10 +38,8 @@
 #include "stm/TxManager.h"
 #include "stm/TxObject.h"
 #include "stm/TxStats.h"
-#include "txn/AdmissionScheduler.h"
 #include "txn/RetryExecutor.h"
 
-#include <optional>
 #include <utility>
 
 namespace otm {
@@ -51,20 +53,34 @@ struct StmRetryAdapter {
   static Manager &manager() { return TxManager::current(); }
   static bool inTx(Manager &Tx) { return Tx.inTx(); }
   static void noteSubsumed(Manager &Tx) { ++Tx.stats().SubsumedTx; }
-  static void begin(Manager &Tx) { Tx.begin(); }
+  static void begin(Manager &Tx, bool Snapshot) { Tx.begin(Snapshot); }
 
   template <typename FnType>
-  static txn::AttemptOutcome attempt(Manager &Tx, FnType &Fn) {
+  static txn::AttemptOutcome attempt(Manager &Tx, FnType &Fn,
+                                     txn::TxSummary *Footprint) {
     try {
       Fn(Tx);
+      // The footprint is complete here; sample it before tryCommit(),
+      // whose rollback or commit clears the filters and logs it reads.
+      if (Footprint)
+        Tx.sampleSummary(*Footprint);
       if (Tx.tryCommit())
         return txn::AttemptOutcome::Committed;
       return txn::AttemptOutcome::RetryAbort;
     } catch (const AbortTx &Reason) {
-      Tx.rollbackAttempt(Reason.Why);
       // Explicit user abort: roll back and leave, do not retry.
-      return Reason.Why == AbortTx::Cause::User
-                 ? txn::AttemptOutcome::NoRetryAbort
+      if (Reason.Why == AbortTx::Cause::User) {
+        Tx.rollbackAttempt(Reason.Why);
+        return txn::AttemptOutcome::NoRetryAbort;
+      }
+      // Mid-body abort: the partial footprint (keys opened so far) is
+      // still the best available sample. Under-approximation is safe —
+      // admission is advisory; the STM below remains the arbiter.
+      if (Footprint)
+        Tx.sampleSummary(*Footprint);
+      Tx.rollbackAttempt(Reason.Why);
+      return Reason.Why == AbortTx::Cause::SnapshotUpgrade
+                 ? txn::AttemptOutcome::RetryAsWriter
                  : txn::AttemptOutcome::RetryAbort;
     } catch (...) {
       // A non-STM exception escaping the block aborts the transaction
@@ -78,6 +94,7 @@ struct StmRetryAdapter {
     const TxStats &S = Tx.stats();
     return S.OpensForRead + S.OpensForUpdate + S.UndoLogAppends;
   }
+  static uint32_t siteId(Manager &Tx) { return Tx.siteId(); }
   static txn::CmTxState &cmState(Manager &Tx) { return Tx.cmState(); }
   static txn::CmPolicy policy() {
     return TxManager::config().ContentionPolicy;
@@ -89,17 +106,18 @@ struct StmRetryAdapter {
   static obs::Histogram *backoffHistogram(Manager &Tx) {
     return &Tx.stats().PhaseBackoffCycles;
   }
+  /// Read-only calls run snapshot attempts while version chains are kept.
   /// Snapshot readers are invisible and validate-free: the retry layer lets
   /// them bypass the serial gate (they cannot conflict with the exclusive
-  /// writer) while still pinning the epoch. Evaluated per attempt so an
-  /// upgrade restart re-enters the gate as a normal writer.
-  static bool zeroConflict(Manager &Tx) { return Tx.armAttemptMode(); }
+  /// writer) while still pinning the epoch.
+  static bool snapshotAvailable() {
+    return TxManager::mvccEnabled() && TxManager::config().MvVersions > 0;
+  }
 
   // Hardware rung (DESIGN.md §3.12): delegate straight to the manager's
   // hardware-mode surface. htmAttempts is sampled from the live config so
   // tests and benches can flip the budget per phase.
   static unsigned htmAttempts() { return TxManager::config().HtmAttempts; }
-  static bool htmEligible(Manager &Tx) { return Tx.htmEligible(); }
   static void htmPrepare(Manager &Tx) { Tx.htmPrepare(); }
   static void htmEnter(Manager &Tx) { Tx.htmEnter(); }
   static void htmCommit(Manager &Tx) { Tx.htmCommit(); }
@@ -108,45 +126,36 @@ struct StmRetryAdapter {
   static void htmUserAbort(Manager &Tx) { Tx.htmNoteUserAbort(); }
 };
 
-class Stm {
+/// Every entry point is one call into RetryExecutor's loop; the private
+/// base gives them access to its per-call mode.
+class Stm : private txn::RetryExecutor<StmRetryAdapter> {
 public:
-  /// Runs \p Fn transactionally with automatic conflict retry. Nested calls
-  /// are flattened into the enclosing transaction (subsumption). \p Fn must
-  /// be safe to re-execute; all its transactional effects are rolled back
-  /// before a retry.
-  template <typename FnType> static void atomic(FnType &&Fn) {
-    txn::RetryExecutor<StmRetryAdapter>::atomic(std::forward<FnType>(Fn));
-  }
-
-  /// Runs \p Fn transactionally and returns its result (move-constructed
-  /// out of optional storage; no default-constructible requirement).
-  template <typename FnType> static auto atomicResult(FnType &&Fn) {
-    return txn::RetryExecutor<StmRetryAdapter>::atomicResult(
-        std::forward<FnType>(Fn));
+  /// Runs \p Fn transactionally with automatic conflict retry and returns
+  /// its result (move-constructed; no default-constructible requirement).
+  /// Nested calls are flattened into the enclosing transaction
+  /// (subsumption). \p Fn must be safe to re-execute; all its
+  /// transactional effects are rolled back before a retry.
+  template <typename FnType> static auto atomic(FnType &&Fn) {
+    return run({}, Fn);
   }
 
   /// Runs \p Fn as a *read-only* transaction on the MVCC snapshot path: all
   /// reads must go through Tx.read()/Tx.snapshotLoad(), the commit needs no
   /// validation, and no concurrent writer can abort it. A body that turns
   /// out to write (any update barrier, allocation, or decomposed
-  /// openForRead) transparently restarts as an ordinary writer, so the hint
-  /// is always safe — just wasted when wrong. Nested inside an existing
-  /// transaction it flattens like atomic() and the hint is ignored. Falls
-  /// back to atomic() entirely when the MVCC tier is compiled out or
-  /// TxConfig.MvVersions is 0.
-  template <typename FnType> static void atomicReadOnly(FnType &&Fn) {
-    TxManager &Tx = TxManager::current();
-    if (!Tx.inTx())
-      Tx.setReadOnlyHint(true);
-    txn::RetryExecutor<StmRetryAdapter>::atomic(std::forward<FnType>(Fn));
+  /// openForRead) transparently restarts as an ordinary writer for the rest
+  /// of the call, so the hint is always safe — just wasted when wrong.
+  /// Nested inside an existing transaction it flattens like atomic() and
+  /// the hint is ignored. Runs like atomic() when the MVCC tier is compiled
+  /// out or TxConfig.MvVersions is 0.
+  template <typename FnType> static auto atomicReadOnly(FnType &&Fn) {
+    return run({.ReadOnly = true}, Fn);
   }
 
-  /// atomicReadOnly with a result (see atomicResult for the storage rules).
+  /// Alias of atomicReadOnly, kept under this name because perfbench/
+  /// calls it.
   template <typename FnType> static auto atomicReadOnlyResult(FnType &&Fn) {
-    using ResultType = decltype(Fn(std::declval<TxManager &>()));
-    std::optional<ResultType> Result;
-    atomicReadOnly([&](TxManager &Tx) { Result.emplace(Fn(Tx)); });
-    return std::move(*Result);
+    return atomicReadOnly(std::forward<FnType>(Fn));
   }
 
   /// atomic() routed through the admission scheduler (DESIGN.md §3.11),
@@ -159,9 +168,10 @@ public:
   /// never correctness. Nested calls flatten like atomic(): admission
   /// inside our own in-flight slot would self-deadlock.
   template <typename FnType>
-  static void atomicScheduled(uint32_t ClassId, const txn::TxSummary &Declared,
+  static auto atomicScheduled(uint32_t ClassId, const txn::TxSummary &Declared,
                               FnType &&Fn) {
-    atomicScheduledImpl(ClassId, &Declared, std::forward<FnType>(Fn));
+    return run({.Scheduled = true, .ClassId = ClassId, .Declared = &Declared},
+               Fn);
   }
 
   /// atomicScheduled() with the footprint *sampled from the first attempt*
@@ -171,8 +181,8 @@ public:
   /// knowledge needed; costs one speculative attempt before scheduling
   /// engages (exactly the transactions that were going to abort anyway).
   template <typename FnType>
-  static void atomicScheduled(uint32_t ClassId, FnType &&Fn) {
-    atomicScheduledImpl(ClassId, nullptr, std::forward<FnType>(Fn));
+  static auto atomicScheduled(uint32_t ClassId, FnType &&Fn) {
+    return run({.Scheduled = true, .ClassId = ClassId}, Fn);
   }
 
   static TxConfig &config() { return TxManager::config(); }
@@ -185,87 +195,6 @@ public:
   static void resetGlobalStats() {
     GlobalTxStats::instance().reset();
     obs::AbortSites::instance().reset();
-  }
-
-private:
-  /// The scheduled retry loop. Uses RetryController directly (the
-  /// interpreter's pattern) rather than RetryExecutor: each attempt is
-  /// bracketed by a scheduler ticket — admit *before* the serial-gate
-  /// entry (a parked waiter holds no gate or epoch state, so it cannot
-  /// deadlock the gate's drain), release *before* the inter-attempt
-  /// backoff pause (the freed slot drains the shard queue while we wait).
-  /// Serial-exclusive attempts skip admission entirely: they already run
-  /// alone, and parking while holding the exclusive gate would stall every
-  /// in-flight slot holder against the queue — the one circular wait the
-  /// layering otherwise rules out.
-  template <typename FnType>
-  static void atomicScheduledImpl(uint32_t ClassId,
-                                  const txn::TxSummary *Declared,
-                                  FnType &&Fn) {
-    TxManager &Tx = TxManager::current();
-    if (Tx.inTx()) {
-      ++Tx.stats().SubsumedTx;
-      Fn(Tx);
-      return;
-    }
-    txn::AdmissionScheduler &Sched = txn::AdmissionScheduler::instance();
-    txn::TxSummary Sampled;
-    const txn::TxSummary *Summary = Declared; // null until sampled
-    static const txn::TxSummary EmptySummary{};
-
-    const txn::ContentionManager &CM =
-        txn::managerFor(StmRetryAdapter::policy());
-    txn::RetryController Ctl(CM, Tx.cmState(), StmRetryAdapter::fallbackAfter(),
-                             reinterpret_cast<uintptr_t>(&Tx) *
-                                 StmRetryAdapter::seedMix());
-    Ctl.setBackoffHistogram(&Tx.stats().PhaseBackoffCycles);
-    for (;;) {
-      // An empty summary bypasses in admit() but release() still feeds the
-      // adaptive gate — the unsampled first attempt and gated-off classes
-      // keep reporting abort rates, so storms can arm the gate.
-      txn::AdmissionScheduler::Ticket Ticket;
-      if (!Ctl.inSerialMode())
-        Ticket = Sched.admit(ClassId, Summary ? *Summary : EmptySummary);
-      Ctl.beforeAttempt(StmRetryAdapter::opCount(Tx),
-                        StmRetryAdapter::zeroConflict(Tx));
-      Tx.begin();
-      txn::AttemptOutcome Out;
-      try {
-        Fn(Tx);
-        // Footprint is complete here; sample before tryCommit() — a failed
-        // validation throws through finishAttempt(), which clears the
-        // filters this reads.
-        if (!Summary) {
-          Tx.sampleSummary(Sampled);
-          Summary = &Sampled;
-        }
-        Out = Tx.tryCommit() ? txn::AttemptOutcome::Committed
-                             : txn::AttemptOutcome::RetryAbort;
-      } catch (const AbortTx &Reason) {
-        // Mid-body conflict: the partial footprint (keys opened so far) is
-        // still the best available sample. Under-approximation is safe —
-        // admission is advisory; the STM below remains the arbiter.
-        if (!Summary && Reason.Why != AbortTx::Cause::User) {
-          Tx.sampleSummary(Sampled);
-          Summary = &Sampled;
-        }
-        Tx.rollbackAttempt(Reason.Why);
-        Out = Reason.Why == AbortTx::Cause::User
-                  ? txn::AttemptOutcome::NoRetryAbort
-                  : txn::AttemptOutcome::RetryAbort;
-      } catch (...) {
-        Sched.release(Ticket, 0, Tx.siteId());
-        Tx.rollbackAttempt(AbortTx::Cause::User);
-        throw; // Ctl's destructor releases the gate/pin
-      }
-      if (Out != txn::AttemptOutcome::RetryAbort) {
-        Sched.release(Ticket, 0, Tx.siteId());
-        Ctl.onFinished();
-        return;
-      }
-      Sched.release(Ticket, 1, Tx.siteId());
-      Ctl.afterAbort(StmRetryAdapter::opCount(Tx));
-    }
   }
 };
 

@@ -33,9 +33,6 @@ struct TxConfig {
   /// conflict before aborting the attacker.
   unsigned ConflictSpins = 128;
 
-  /// Cap on commit attempts before atomic() escalates backoff to yields.
-  unsigned SoftRetryLimit = 16;
-
   /// Contention-management policy consulted at ownership conflicts and
   /// between retry attempts (both STMs and the interpreter). Defaults to
   /// the OTM_CM environment variable (passive|backoff|karma|greedy),
@@ -47,13 +44,6 @@ struct TxConfig {
   /// transactions drain and stall until it finishes). 0 disables the
   /// fallback. Defaults to the OTM_RETRY_BUDGET environment variable.
   unsigned SerialFallbackAfter = defaultSerialFallbackAfter();
-
-  /// Static read-only hint: transactions begun under this flag run on the
-  /// MVCC snapshot path (no read log, no validation, cannot abort) and are
-  /// restarted as writers on their first update barrier. Per-transaction
-  /// declaration goes through Stm::atomicReadOnly instead of this
-  /// process-wide knob. Ignored when the MVCC tier is compiled out.
-  bool ReadOnly = false;
 
   /// Committed versions kept per object for snapshot readers (chain depth
   /// K). 0 disables version-chain maintenance, which also sends read-only

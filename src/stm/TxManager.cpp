@@ -182,10 +182,6 @@ bool TxManager::tryCommit() {
 #endif
   }
   ++Stats.Commits;
-#if OTM_MVCC
-  ForceWriter = false; // the transaction is done; drop the upgrade latch
-  ReadOnlyHint = false;
-#endif
   Obs.onCommit(0, Stats.CommitTscCycles, Stats.RetriesPerCommit);
 
   // Deferred frees take effect only now that the deletion is committed;
@@ -246,12 +242,6 @@ void TxManager::rollbackAttempt(AbortTx::Cause Why) {
                                Why == AbortTx::Cause::SnapshotRefresh;
   if (!SnapshotRestart)
     ++Stats.Aborts;
-#if OTM_MVCC
-  if (Why == AbortTx::Cause::User) {
-    ForceWriter = false; // final outcome: drop the per-transaction latches
-    ReadOnlyHint = false;
-  }
-#endif
   Obs.onAbort(auxCauseFor(Why), 0);
   finishAttempt();
 }
@@ -661,8 +651,6 @@ bool TxManager::snapshotCommit() {
          AllocLog.empty() && "snapshot attempt enlisted state");
   ++Stats.Commits;
   ++Stats.SnapshotCommits;
-  ForceWriter = false;
-  ReadOnlyHint = false;
   Obs.onCommit(0, Stats.CommitTscCycles, Stats.RetriesPerCommit);
   finishAttempt();
   return true;
@@ -741,7 +729,6 @@ void TxManager::snapshotWait(TxObject *Obj) {
 
 void TxManager::upgradeToWriter() {
   ++Stats.SnapshotUpgrades;
-  ForceWriter = true; // every further attempt of this transaction is a writer
   abortAndThrow(AbortTx::Cause::SnapshotUpgrade);
 }
 

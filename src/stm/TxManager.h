@@ -116,8 +116,11 @@ public:
   //===--------------------------------------------------------------------===
 
   /// Starts a transaction. Nested calls are flattened (subsumption): only
-  /// the outermost begin/commit pair does real work.
-  void begin() {
+  /// the outermost begin/commit pair does real work. \p Snapshot runs the
+  /// attempt on the MVCC snapshot path (DESIGN.md §3.9); the retry layer
+  /// decides it per attempt, so a plain begin() is a writer. Ignored when
+  /// the MVCC tier is compiled out.
+  void begin(bool Snapshot = false) {
     if (Depth++ != 0) {
       ++Stats.SubsumedTx; // flattened nested transaction
       return;
@@ -130,13 +133,11 @@ public:
     assert(boostStateEmpty() && "boost state leaked from a previous attempt");
     EPin.pin(); // nested under RetryController's pre-pin on executor paths
 #if OTM_MVCC
-    // The retry layer may have pre-computed the attempt mode (so its gate
-    // bypass and our path agree even if config() races); manual drivers
-    // compute it here.
-    SnapshotMode = ArmedModeValid ? ArmedSnapshot : wantsSnapshot();
-    ArmedModeValid = false;
+    SnapshotMode = Snapshot;
     if (OTM_UNLIKELY(SnapshotMode))
       SnapshotStamp = mv::commitClock().load(std::memory_order_acquire);
+#else
+    (void)Snapshot;
 #endif
     ++Stats.Starts;
     Obs.onBegin(0);
@@ -339,17 +340,6 @@ public:
   /// True when the MVCC tier is compiled in (-DOTM_MVCC, default on).
   static constexpr bool mvccEnabled() { return OTM_MVCC != 0; }
 
-  /// Declares the *next* top-level transaction of this manager read-only
-  /// (Stm::atomicReadOnly sets it). Cleared when that transaction commits
-  /// or finally aborts. No-op when the MVCC tier is compiled out.
-  void setReadOnlyHint(bool On) {
-#if OTM_MVCC
-    ReadOnlyHint = On;
-#else
-    (void)On;
-#endif
-  }
-
   /// True while the current attempt runs on the snapshot path.
   bool inSnapshotMode() const {
 #if OTM_MVCC
@@ -364,21 +354,6 @@ public:
     return SnapshotStamp;
 #else
     return 0;
-#endif
-  }
-
-  /// Decides and caches the mode of the next attempt. The retry layer calls
-  /// this *before* entering the serial gate so that a snapshot attempt can
-  /// bypass the gate and begin() is guaranteed to agree with that decision
-  /// (config() could change between the two otherwise). Returns true when
-  /// the attempt will run as a zero-conflict snapshot reader.
-  bool armAttemptMode() {
-#if OTM_MVCC
-    ArmedSnapshot = wantsSnapshot();
-    ArmedModeValid = true;
-    return ArmedSnapshot;
-#else
-    return false;
 #endif
   }
 
@@ -499,18 +474,6 @@ public:
   /// True while the current attempt runs inside a hardware transaction.
   bool inHtmMode() const { return HtmMode; }
 
-  /// Whether the *next* top-level attempt may try the hardware tier.
-  /// Snapshot-bound transactions stay on the MVCC path: it already commits
-  /// read-only work without validation or aborts, and a hardware attempt
-  /// would only add a way to lose to writers.
-  bool htmEligible() const {
-#if OTM_MVCC
-    if (wantsSnapshot())
-      return false;
-#endif
-    return true;
-  }
-
   /// Pre-xbegin prologue: counts the attempt and pins the epoch. The pin
   /// must happen *outside* the speculative region — a speculative store to
   /// the pin slot is invisible to reclaimers until commit, which is
@@ -540,9 +503,6 @@ public:
   void htmCommit() {
     ++Stats.Commits;
     ++Stats.HtmCommits;
-#if OTM_MVCC
-    ReadOnlyHint = false;
-#endif
     Obs.onCommit(0, Stats.CommitTscCycles, Stats.RetriesPerCommit);
     HtmMode = false;
     Depth = 0;
@@ -563,10 +523,6 @@ public:
     ++Stats.Starts;
     ++Stats.AbortsByUser;
     ++Stats.Aborts;
-#if OTM_MVCC
-    ForceWriter = false;
-    ReadOnlyHint = false;
-#endif
     Obs.onAbort(obs::AuxCauseUser, 0);
   }
 
@@ -671,13 +627,6 @@ private:
   void releaseOwnershipForAbort();
 
 #if OTM_MVCC
-  /// Mode predicate for the next attempt: snapshot iff declared read-only,
-  /// not already upgraded to a writer, and version chains are maintained.
-  bool wantsSnapshot() const {
-    const TxConfig &C = config();
-    return (C.ReadOnly || ReadOnlyHint) && !ForceWriter && C.MvVersions > 0;
-  }
-
   /// Restarts the attempt as a writer (first update barrier in snapshot
   /// mode) / on a fresh snapshot stamp (begin stamp no longer covered by a
   /// version chain). Both unwind via AbortTx; neither counts as an abort.
@@ -820,10 +769,6 @@ private:
 #endif
 #if OTM_MVCC
   bool SnapshotMode = false;   ///< current attempt runs validate-free
-  bool ForceWriter = false;    ///< upgraded: rerun attempts as a writer
-  bool ReadOnlyHint = false;   ///< per-transaction Stm::atomicReadOnly flag
-  bool ArmedSnapshot = false;  ///< mode pre-computed by armAttemptMode()
-  bool ArmedModeValid = false;
   uint64_t SnapshotStamp = 0;  ///< commit-clock value at snapshot begin
 #endif
 

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// The one transaction-execution loop shared by all three execution paths
-/// (object-STM Stm::atomic, word-STM WordStm::atomic, and the TMIR
+/// (object-STM Stm entry points, word-STM WordStm::atomic, and the TMIR
 /// interpreter's atomic regions). It owns the begin/try/rollback/pause
 /// sequencing, delegates every conflict decision to the configured
 /// ContentionManager, and escalates to serial-irrevocable mode through the
@@ -14,10 +14,12 @@
 ///
 /// Two entry shapes:
 ///
-///   - RetryExecutor<Adapter>::atomic(Fn) — the lambda style. The Adapter
-///     binds the loop to a concrete STM (manager lookup, begin, one
-///     attempt with that STM's abort-exception protocol, op counting for
-///     karma). See stm/Stm.h and wstm/WordStm.h for the two adapters.
+///   - RetryExecutor<Adapter>::atomic(Fn) — the lambda style; returns the
+///     body's result. The Adapter binds the loop to a concrete STM (manager
+///     lookup, begin, one attempt with that STM's abort-exception protocol,
+///     op counting for karma). See stm/Stm.h and wstm/WordStm.h for the two
+///     adapters. Front ends that need a per-call mode (read-only hint,
+///     admission scheduling) derive from the executor and call run().
 ///
 ///   - RetryController — the stateful core of the loop, used directly by
 ///     clients whose control flow cannot be shaped as a callable (the
@@ -36,12 +38,14 @@
 #include "obs/TraceRing.h"
 #include "obs/TxObs.h"
 #include "support/Backoff.h"
+#include "txn/AdmissionScheduler.h"
 #include "txn/CmStats.h"
 #include "txn/ContentionManager.h"
 #include "txn/Htm.h"
 #include "txn/SerialGate.h"
 
 #include <optional>
+#include <type_traits>
 #include <utility>
 
 namespace otm {
@@ -49,9 +53,11 @@ namespace txn {
 
 /// Result of one transaction attempt, as reported by an Adapter.
 enum class AttemptOutcome : uint8_t {
-  Committed,    ///< published; the transaction is done
-  RetryAbort,   ///< rolled back on conflict/validation; run another attempt
-  NoRetryAbort, ///< rolled back on explicit user abort; do not retry
+  Committed,     ///< published; the transaction is done
+  RetryAbort,    ///< rolled back on conflict/validation; run another attempt
+  RetryAsWriter, ///< a snapshot attempt reached a write and rolled back;
+                 ///< every further attempt of the call runs as a writer
+  NoRetryAbort,  ///< rolled back on explicit user abort; do not retry
 };
 
 /// Stateful retry sequencing for one top-level transaction. Construct it
@@ -221,9 +227,11 @@ private:
 };
 
 /// The hardware rung of the ladder: up to Adapter::htmAttempts() RTM
-/// attempts before RetryExecutor::atomic falls through to the software
-/// retry loop. Returns true when an attempt committed (or terminally
-/// user-aborted) in hardware, false to hand the transaction to the STM.
+/// attempts before RetryExecutor falls through to the software retry loop.
+/// The executor calls it only for calls the rung can carry (not snapshot
+/// readers, not scheduled calls; DESIGN.md §3.12). Returns true when an
+/// attempt committed (or terminally user-aborted) in hardware, false to
+/// hand the transaction to the STM.
 ///
 /// Interaction rules (DESIGN.md §3.12):
 ///  - The serial gate is subscribed from inside the region: a pre-begin
@@ -246,8 +254,6 @@ bool htmTryExecute(typename Adapter::Manager &Tx, FnType &Fn) {
   if (OTM_LIKELY(MaxAttempts == 0))
     return false;
   if (!htm::HtmRuntime::instance().available())
-    return false;
-  if (!Adapter::htmEligible(Tx))
     return false;
   SerialGate &Gate = SerialGate::instance();
   CmStats &CS = CmStats::instance();
@@ -327,6 +333,68 @@ bool htmTryExecute(typename Adapter::Manager &Tx, FnType &Fn) {
   return false;
 }
 
+/// The admission bracket of one scheduled call (DESIGN.md §3.11). Every
+/// attempt holds one scheduler ticket. It is admitted *before* the
+/// serial-gate entry: a parked waiter holds no gate or epoch state, so it
+/// cannot deadlock the gate's drain. It is released *before* the
+/// inter-attempt pause, so the freed slot drains the shard queue while we
+/// wait. Serial-exclusive attempts skip admission: they already run alone,
+/// and parking while holding the exclusive gate would stall every in-flight
+/// slot holder against the queue. An attempt is admitted under the declared
+/// footprint or, without one, under the footprint the first aborted attempt
+/// sampled; until then it speculates unadmitted.
+class AdmissionBracket {
+public:
+  AdmissionBracket(uint32_t ClassId, const TxSummary *Declared)
+      : Sched(AdmissionScheduler::instance()), ClassId(ClassId),
+        Footprint(Declared) {}
+
+  AdmissionBracket(const AdmissionBracket &) = delete;
+  AdmissionBracket &operator=(const AdmissionBracket &) = delete;
+
+  /// A non-STM exception unwinding out of an attempt releases it as clean.
+  ~AdmissionBracket() {
+    if (Held)
+      Sched.release(Ticket, 0, Site);
+  }
+
+  /// \p VictimSite names the executing thread's obs site in every release.
+  void admit(bool Serial, uint32_t VictimSite) {
+    // An empty summary bypasses in admit() but release() still feeds the
+    // adaptive gate — the unsampled first attempt and gated-off classes
+    // keep reporting abort rates, so storms can arm the gate.
+    static const TxSummary EmptySummary{};
+    Ticket = {};
+    if (!Serial)
+      Ticket = Sched.admit(ClassId, Footprint ? *Footprint : EmptySummary);
+    Site = VictimSite;
+    Held = true;
+  }
+
+  /// Where the attempt samples its footprint, or null once one is known.
+  TxSummary *sampleInto() { return Footprint ? nullptr : &Sampled; }
+
+  /// Reports the attempt to the scheduler. A retried attempt sampled its
+  /// footprint (see the Adapter::attempt contract), which admits the rest.
+  void release(AttemptOutcome Out) {
+    const bool Retry = Out == AttemptOutcome::RetryAbort ||
+                       Out == AttemptOutcome::RetryAsWriter;
+    Held = false;
+    Sched.release(Ticket, Retry ? 1 : 0, Site);
+    if (Retry && !Footprint)
+      Footprint = &Sampled;
+  }
+
+private:
+  AdmissionScheduler &Sched;
+  uint32_t ClassId;
+  const TxSummary *Footprint; ///< declared or sampled; null until sampled
+  uint32_t Site = 0;
+  TxSummary Sampled;
+  AdmissionScheduler::Ticket Ticket;
+  bool Held = false;
+};
+
 /// The lambda-style retry loop. An Adapter provides:
 ///
 /// \code
@@ -335,25 +403,26 @@ bool htmTryExecute(typename Adapter::Manager &Tx, FnType &Fn) {
 ///     static Manager &manager();               // thread's descriptor
 ///     static bool inTx(Manager &);             // inside a transaction?
 ///     static void noteSubsumed(Manager &);     // flattened-nesting stat
-///     static void begin(Manager &);            // TxStart
+///     static void begin(Manager &, bool Snapshot); // TxStart
+///     // One attempt: run + commit, or catch-abort + rollback; non-STM
+///     // exceptions roll back and rethrow. A non-null Footprint receives
+///     // the attempt's footprint whenever it returns a retry outcome.
 ///     template <typename Fn>
-///     static AttemptOutcome attempt(Manager &, Fn &);  // run + commit or
-///                                              // catch-abort + rollback;
-///                                              // non-STM exceptions must
-///                                              // roll back and rethrow
+///     static AttemptOutcome attempt(Manager &, Fn &, TxSummary *Footprint);
 ///     static uint64_t opCount(Manager &);      // monotone work counter
+///     static uint32_t siteId(Manager &);       // obs site (abort victim)
 ///     static CmTxState &cmState(Manager &);    // embedded CM state
 ///     static CmPolicy policy();                // from the active config
 ///     static unsigned fallbackAfter();         // retry budget
 ///     static uint64_t seedMix();               // backoff seed multiplier
-///     // optional: next attempt cannot conflict -> bypass the serial gate
-///     static bool zeroConflict(Manager &);
+///     // optional: read-only calls may run snapshot attempts, which cannot
+///     // conflict and so bypass the serial gate (begin gets Snapshot=true)
+///     static bool snapshotAvailable();
 ///     // optional (all-or-none): opt into the hardware rung. htmAttempts
 ///     // is the per-transaction RTM budget (0 = software only); the rest
 ///     // flip the manager in and out of hardware execution mode. See
 ///     // htmTryExecute above for the exact call sequence.
 ///     static unsigned htmAttempts();
-///     static bool htmEligible(Manager &);
 ///     static void htmPrepare(Manager &);    // outside the region: pin
 ///     static void htmEnter(Manager &);      // inside: enter HtmMode
 ///     static void htmCommit(Manager &);     // inside: commit bookkeeping
@@ -366,7 +435,58 @@ template <typename Adapter> class RetryExecutor {
 public:
   using Manager = typename Adapter::Manager;
 
-  template <typename FnType> static void atomic(FnType &&Fn) {
+  /// Runs \p Fn transactionally with automatic retry and returns its result
+  /// (see run()). Nested calls flatten into the enclosing transaction.
+  template <typename FnType> static auto atomic(FnType &&Fn) {
+    return run(CallMode{}, Fn);
+  }
+
+protected:
+  /// How one top-level call runs; a front end's entry points build it.
+  /// Nested calls flatten into the enclosing transaction and ignore it.
+  struct CallMode {
+    /// Attempts run as snapshot readers (if Adapter::snapshotAvailable())
+    /// until one reaches a write; the loop then clears the flag, so the
+    /// rest of the call runs as a writer.
+    bool ReadOnly = false;
+    /// Admitted through the AdmissionScheduler as transaction class
+    /// ClassId, under the Declared footprint or, when that is null, a
+    /// sampled one (AdmissionBracket). Scheduled calls skip the hardware
+    /// rung.
+    bool Scheduled = false;
+    uint32_t ClassId = 0;
+    const TxSummary *Declared = nullptr;
+  };
+
+  /// atomic() under \p Mode. A result is constructed into optional
+  /// storage, so its type needs neither default construction nor
+  /// assignment, only move construction. A body that user-aborts has no
+  /// result; asking for one then throws std::bad_optional_access. Forced
+  /// inline so that each entry point's literal mode selects one loop call
+  /// before the compiler weighs inlining the loop.
+  template <typename FnType>
+  OTM_ALWAYS_INLINE static auto run(CallMode Mode, FnType &Fn) {
+    using ResultType = decltype(Fn(std::declval<Manager &>()));
+    if constexpr (!std::is_void_v<ResultType>) {
+      std::optional<ResultType> Result;
+      auto Capture = [&](Manager &Tx) { Result.emplace(Fn(Tx)); };
+      run(Mode, Capture);
+      return std::move(Result).value();
+    } else if (OTM_UNLIKELY(Mode.Scheduled)) {
+      // The bracket lives out here, where the mode is still a literal, so
+      // an unscheduled call carries no admission state into the loop.
+      AdmissionBracket Admission(Mode.ClassId, Mode.Declared);
+      loop(Mode.ReadOnly, &Admission, Fn);
+    } else {
+      loop(Mode.ReadOnly, nullptr, Fn);
+    }
+  }
+
+private:
+  /// The one retry loop. \p Admission brackets each attempt of a
+  /// scheduled call.
+  template <typename FnType>
+  static void loop(bool ReadOnly, AdmissionBracket *Admission, FnType &Fn) {
     Manager &Tx = Adapter::manager();
     if (Adapter::inTx(Tx)) {
       // Flattening: the nested body runs inside the enclosing transaction
@@ -375,10 +495,13 @@ public:
       Fn(Tx);
       return;
     }
-    // Top rung: hardware attempts, for adapters that opt in. Falls through
-    // to the software retry loop on exhaustion or ineligibility.
+    // Top rung: hardware attempts, for adapters that opt in. Snapshot
+    // readers already commit without validation or aborts, and scheduled
+    // calls let admission gate re-execution, so both start in software.
+    // Falls through to the software retry loop on exhaustion.
     if constexpr (requires { Adapter::htmAttempts(); })
-      if (htmTryExecute<Adapter>(Tx, Fn))
+      if (!Admission && !snapshotAttempt(ReadOnly) &&
+          htmTryExecute<Adapter>(Tx, Fn))
         return;
     const ContentionManager &CM = managerFor(Adapter::policy());
     RetryController Ctl(CM, Adapter::cmState(Tx), Adapter::fallbackAfter(),
@@ -387,31 +510,34 @@ public:
     if constexpr (requires { Adapter::backoffHistogram(Tx); })
       Ctl.setBackoffHistogram(Adapter::backoffHistogram(Tx));
     for (;;) {
-      // Optional adapter hook: attempts that cannot conflict (MVCC snapshot
-      // readers) bypass the serial gate. Asked per attempt — the answer
-      // flips once a read-only body upgrades to a writer.
-      bool ZeroConflict = false;
-      if constexpr (requires { Adapter::zeroConflict(Tx); })
-        ZeroConflict = Adapter::zeroConflict(Tx);
-      Ctl.beforeAttempt(Adapter::opCount(Tx), ZeroConflict);
-      Adapter::begin(Tx);
-      AttemptOutcome Out = Adapter::attempt(Tx, Fn);
-      if (Out != AttemptOutcome::RetryAbort) {
+      // Decided once per attempt: a snapshot attempt cannot conflict, so
+      // it bypasses the serial gate, and begin() runs the same decision.
+      const bool Snapshot = snapshotAttempt(ReadOnly);
+      if (Admission)
+        Admission->admit(Ctl.inSerialMode(), Adapter::siteId(Tx));
+      Ctl.beforeAttempt(Adapter::opCount(Tx), Snapshot);
+      Adapter::begin(Tx, Snapshot);
+      AttemptOutcome Out = Adapter::attempt(
+          Tx, Fn, Admission ? Admission->sampleInto() : nullptr);
+      if (Admission)
+        Admission->release(Out);
+      if (Out == AttemptOutcome::Committed ||
+          Out == AttemptOutcome::NoRetryAbort) {
         Ctl.onFinished();
         return;
       }
+      // Upgrade latch: the rest of the call runs as a writer.
+      if (Out == AttemptOutcome::RetryAsWriter)
+        ReadOnly = false;
       Ctl.afterAbort(Adapter::opCount(Tx));
     }
   }
 
-  /// Runs \p Fn transactionally and returns its result. The result is
-  /// constructed into optional storage, so the result type needs neither
-  /// default construction nor assignment — only move construction.
-  template <typename FnType> static auto atomicResult(FnType &&Fn) {
-    using ResultType = decltype(Fn(std::declval<Manager &>()));
-    std::optional<ResultType> Result;
-    atomic([&](Manager &Tx) { Result.emplace(Fn(Tx)); });
-    return std::move(*Result);
+  static bool snapshotAttempt(bool ReadOnly) {
+    if constexpr (requires { Adapter::snapshotAvailable(); })
+      return ReadOnly && Adapter::snapshotAvailable();
+    else
+      return false;
   }
 };
 

@@ -187,7 +187,6 @@ public:
   // Hardware (RTM) execution mode — see DESIGN.md §3.12 and the matching
   // surface on stm::TxManager. The executor calls prepare/unpin outside
   // the region and enter/commit inside it.
-  bool htmEligible() { return true; }
   bool inHtmMode() const { return HtmMode; }
   void htmPrepare() {
     ++Stats.HtmAttempts;
@@ -313,10 +312,14 @@ struct WstmRetryAdapter {
   static Manager &manager() { return WTxManager::current(); }
   static bool inTx(Manager &Tx) { return Tx.inTx(); }
   static void noteSubsumed(Manager &Tx) { ++Tx.stats().SubsumedTx; }
-  static void begin(Manager &Tx) { Tx.begin(); }
+  static void begin(Manager &Tx, bool /*Snapshot: never requested*/) {
+    Tx.begin();
+  }
 
+  /// Word-STM calls are never scheduled, so \p Footprint is always null.
   template <typename FnType>
-  static txn::AttemptOutcome attempt(Manager &Tx, FnType &Fn) {
+  static txn::AttemptOutcome attempt(Manager &Tx, FnType &Fn,
+                                     txn::TxSummary * /*Footprint*/) {
     try {
       Fn(Tx);
       if (Tx.tryCommit())
@@ -335,6 +338,7 @@ struct WstmRetryAdapter {
     const stm::TxStats &S = Tx.stats();
     return S.OpensForRead + S.OpensForUpdate;
   }
+  static uint32_t siteId(Manager &Tx) { return Tx.siteId(); }
   static txn::CmTxState &cmState(Manager &Tx) { return Tx.cmState(); }
   static txn::CmPolicy policy() {
     return stm::TxManager::config().ContentionPolicy;
@@ -351,7 +355,6 @@ struct WstmRetryAdapter {
   static unsigned htmAttempts() {
     return stm::TxManager::config().HtmAttempts;
   }
-  static bool htmEligible(Manager &Tx) { return Tx.htmEligible(); }
   static void htmPrepare(Manager &Tx) { Tx.htmPrepare(); }
   static void htmEnter(Manager &Tx) { Tx.htmEnter(); }
   static void htmCommit(Manager &Tx) { Tx.htmCommit(); }
@@ -360,15 +363,12 @@ struct WstmRetryAdapter {
   static void htmUserAbort(Manager &Tx) { Tx.htmNoteUserAbort(); }
 };
 
-/// Public entry point mirroring stm::Stm::atomic for the baseline STM.
+/// Public entry point mirroring stm::Stm::atomic for the baseline STM:
+/// runs \p Fn with automatic retry and returns its result.
 class WordStm {
 public:
-  template <typename FnType> static void atomic(FnType &&Fn) {
-    txn::RetryExecutor<WstmRetryAdapter>::atomic(std::forward<FnType>(Fn));
-  }
-
-  template <typename FnType> static auto atomicResult(FnType &&Fn) {
-    return txn::RetryExecutor<WstmRetryAdapter>::atomicResult(
+  template <typename FnType> static auto atomic(FnType &&Fn) {
+    return txn::RetryExecutor<WstmRetryAdapter>::atomic(
         std::forward<FnType>(Fn));
   }
 };

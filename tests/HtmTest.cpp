@@ -332,7 +332,7 @@ TEST(HtmWstm, HardwareAndSoftwareAgree) {
         Tx.write(Cell, Tx.read(Cell) + 1);
       });
   }
-  int64_t Got = wstm::WordStm::atomicResult(
+  int64_t Got = wstm::WordStm::atomic(
       [&](wstm::WTxManager &Tx) { return Tx.read(Cell); });
   EXPECT_EQ(Got, 100);
 }

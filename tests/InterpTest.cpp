@@ -217,6 +217,13 @@ exit:
 
 } // namespace
 
+TEST(InterpDeathTest, MakeObjectRejectsUnknownClass) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Module M = parsed(CounterProgram);
+  Interpreter I(M, Interpreter::Options{});
+  EXPECT_DEATH(I.makeObject("Account"), "no class 'Account'");
+}
+
 TEST(InterpTx, SingleThreadCommitCounts) {
   Module M = parsed(CounterProgram);
   lowerAndOptimize(M, OptConfig::all());

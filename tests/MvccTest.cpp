@@ -191,6 +191,49 @@ TEST(Mvcc, DynamicUpgradeRestartsAsWriterWithoutCountingAnAbort) {
   EXPECT_EQ(S2.SnapshotCommits, 1u);
 }
 
+TEST(Mvcc, PerCallModeDoesNotLeakPastAFailedCall) {
+  if (!TxManager::mvccEnabled())
+    GTEST_SKIP() << "built with OTM_MVCC=0";
+  Counter C;
+  struct Boom {};
+  // A read-only call that upgrades to a writer and then ends without
+  // committing, by user abort or by a non-STM exception.
+  auto FailedReadOnlyCall = [&](bool Throw) {
+    int Attempts = 0;
+    auto Body = [&](TxManager &Tx) {
+      ++Attempts;
+      Tx.write(&C, &Counter::Value, int64_t{1}); // upgrades attempt 1
+      if (Throw)
+        throw Boom{};
+      Tx.userAbort();
+    };
+    if (Throw)
+      EXPECT_THROW(Stm::atomicReadOnly(Body), Boom);
+    else
+      Stm::atomicReadOnly(Body);
+    EXPECT_EQ(Attempts, 2) << "snapshot attempt, then one writer attempt";
+    EXPECT_EQ(C.Value.load(), 0);
+  };
+  for (bool Throw : {false, true}) {
+    // The upgrade latch ends with the call: read-only again next time.
+    FailedReadOnlyCall(Throw);
+    bool Snapshot = false;
+    Stm::atomicReadOnly([&](TxManager &Tx) {
+      Snapshot = Tx.inSnapshotMode();
+      (void)Tx.read(&C, &Counter::Value);
+    });
+    EXPECT_TRUE(Snapshot) << "Throw=" << Throw;
+    // So does the read-only flag: a plain atomic() is a writer.
+    FailedReadOnlyCall(Throw);
+    Snapshot = true;
+    Stm::atomic([&](TxManager &Tx) {
+      Snapshot = Tx.inSnapshotMode();
+      (void)Tx.read(&C, &Counter::Value);
+    });
+    EXPECT_FALSE(Snapshot) << "Throw=" << Throw;
+  }
+}
+
 TEST(Mvcc, ChainTruncatesAtConfiguredDepth) {
   if (!TxManager::mvccEnabled())
     GTEST_SKIP() << "built with OTM_MVCC=0";

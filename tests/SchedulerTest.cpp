@@ -495,6 +495,33 @@ TEST_F(AtomicScheduledTest, ExceptionsPropagateAndReleaseTicket) {
   Sched().release(T, 0);
 }
 
+TEST_F(AtomicScheduledTest, UserAbortRunsOnceAndReleasesTicket) {
+  auto C = std::make_unique<Cell>();
+  TxSummary S;
+  S.addWrite(reinterpret_cast<uintptr_t>(C.get()));
+  int Runs = 0;
+  auto Body = [&](stm::TxManager &Tx) {
+    ++Runs;
+    Tx.openForUpdate(C.get());
+    Tx.logUndo(&C->Value);
+    C->Value.store(42);
+    Tx.userAbort();
+  };
+  // Declared footprint (admitted into a slot), then sampled (speculates).
+  stm::Stm::atomicScheduled(7, S, Body);
+  EXPECT_EQ(Runs, 1) << "a user abort is final, never retried";
+  stm::Stm::atomicScheduled(7, Body);
+  EXPECT_EQ(Runs, 2);
+  EXPECT_EQ(C->Value.load(), 0) << "both attempts rolled back";
+  auto St = Sched().stats();
+  EXPECT_EQ(St.Releases, 2u);
+  EXPECT_EQ(St.AbortsReported, 0u) << "user aborts are released clean";
+  // No ticket is held: a conflicting admit goes straight in.
+  auto T = Sched().admit(7, S);
+  EXPECT_GE(T.Slot, 0);
+  Sched().release(T, 0);
+}
+
 TEST_F(AtomicScheduledTest, SampledModeConvergesUnderContention) {
   // Two threads increment one cell through the sampled path: first
   // attempts speculate, aborted ones sample their footprint and re-enter

@@ -419,7 +419,7 @@ TEST(StmBasic, StatsFlushAggregatesGlobally) {
 TEST(StmBasic, AtomicResultReturnsValue) {
   Point P;
   P.X.store(21);
-  int64_t V = Stm::atomicResult(
+  int64_t V = Stm::atomic(
       [&](TxManager &Tx) { return Tx.read(&P, &Point::X) * 2; });
   EXPECT_EQ(V, 42);
 }

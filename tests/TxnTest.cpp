@@ -8,8 +8,8 @@
 /// The shared transaction-execution layer: contention-manager decision
 /// tables (one per policy), policy name parsing, the serial-irrevocable
 /// gate, retry-controller fallback escalation, CM statistics, and the
-/// executor-level guarantees both STM front ends inherit (atomicResult
-/// without default construction, flattened-nesting accounting).
+/// executor-level guarantees both STM front ends inherit (results without
+/// default construction, flattened-nesting accounting).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -289,7 +289,7 @@ TEST(RetryControllerTest, GreedyTransactionsGetArrivalStamps) {
 
 namespace {
 
-/// Move-only, no default constructor: the old per-STM atomicResult copies
+/// Move-only, no default constructor: the old per-STM result copies
 /// required `ResultType Result{}`; the unified executor must not.
 struct Opaque {
   explicit Opaque(int64_t V) : V(V) {}
@@ -308,15 +308,24 @@ struct Cell : stm::TxObject {
 TEST(RetryExecutorTest, AtomicResultNeedsNoDefaultConstructor) {
   Cell C;
   C.Value.store(41);
-  Opaque R = stm::Stm::atomicResult([&](stm::TxManager &Tx) {
-    Tx.openForRead(&C);
-    return Opaque(C.Value.load() + 1);
-  });
+  auto Body = [&](stm::TxManager &Tx) {
+    return Opaque(Tx.read(&C, &Cell::Value) + 1);
+  };
+  // Every Stm entry point returns results through the one executor loop.
+  Opaque R = stm::Stm::atomic(Body);
   EXPECT_EQ(R.V, 42);
+  Opaque RO = stm::Stm::atomicReadOnly(Body);
+  EXPECT_EQ(RO.V, 42);
+  Opaque RS = stm::Stm::atomicScheduled(/*ClassId=*/5, Body);
+  EXPECT_EQ(RS.V, 42);
+  TxSummary Declared;
+  Declared.addRead(reinterpret_cast<uintptr_t>(&C));
+  Opaque RD = stm::Stm::atomicScheduled(/*ClassId=*/5, Declared, Body);
+  EXPECT_EQ(RD.V, 42);
 
   wstm::WCell<int64_t> W;
   W.store(41);
-  Opaque RW = wstm::WordStm::atomicResult([&](wstm::WTxManager &Tx) {
+  Opaque RW = wstm::WordStm::atomic([&](wstm::WTxManager &Tx) {
     return Opaque(Tx.read(W) + 1);
   });
   EXPECT_EQ(RW.V, 42);

@@ -115,7 +115,7 @@ TEST(WordStmBasic, UserExceptionRollsBackAndPropagates) {
 
 TEST(WordStmBasic, AtomicResult) {
   WCell<int64_t> X(20);
-  int64_t R = WordStm::atomicResult(
+  int64_t R = WordStm::atomic(
       [&](WTxManager &Tx) { return Tx.read(X) + 2; });
   EXPECT_EQ(R, 22);
 }
