@@ -51,7 +51,7 @@ void BM_WriterTx(benchmark::State &State) {
       Tx.write(&C, &Cell::Value, int64_t{1});
     });
 }
-BENCHMARK(BM_WriterTx);
+BENCHMARK(BM_WriterTx)->Threads(1)->Threads(2);
 
 void BM_OpenForRead(benchmark::State &State) {
   // Cost of the read barrier inside an already-running transaction,

@@ -20,7 +20,16 @@ EpochManager &EpochManager::global() {
   return *EM;
 }
 
+namespace {
+/// Set once the calling thread's ThreadState is destroyed. A thread-local
+/// destructor (or, on the main thread, a static one) that runs later may
+/// still retire; it must not touch the dead state's bin. Trivially
+/// destructible, so it outlives every thread-local object.
+constinit thread_local bool ThreadStateGone = false;
+} // namespace
+
 EpochManager::ThreadState::~ThreadState() {
+  ThreadStateGone = true;
   if (!Owner)
     return;
   // Move any not-yet-freed retirements to the orphan bin so a short-lived
@@ -85,6 +94,14 @@ bool EpochManager::isPinned() const {
 }
 
 void EpochManager::retire(void *Ptr, Deleter D) {
+  if (OTM_UNLIKELY(ThreadStateGone)) {
+    // Thread exit: the bin is gone, so hand the object straight to the
+    // orphan bin, which any later collect() frees.
+    uint64_t E = GlobalEpoch.load(std::memory_order_acquire);
+    std::lock_guard<std::mutex> Lock(OrphanMutex);
+    OrphanBin.push_back({Ptr, D, E});
+    return;
+  }
   ThreadState &TS = state();
   uint64_t E = GlobalEpoch.load(std::memory_order_acquire);
   TS.Bin.push_back({Ptr, D, E});
@@ -122,8 +139,8 @@ void EpochManager::freeUpTo(std::vector<Retired> &Bin, uint64_t SafeEpoch) {
     }
   }
   Bin.resize(Kept);
-  // One shared-counter update per pass: Freed sits on GlobalEpoch's cache
-  // line, which every retire() and every pin confirmation reads.
+  // One shared-counter update per pass: every collecting thread writes
+  // Freed.
   if (NumFreed)
     Freed.fetch_add(NumFreed, std::memory_order_relaxed);
 }

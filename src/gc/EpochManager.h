@@ -91,10 +91,15 @@ private:
   static constexpr uint64_t Unpinned = ~static_cast<uint64_t>(0);
   static constexpr std::size_t CollectThreshold = 128;
 
-  struct Slot {
+  /// One thread's published epoch. Its owner writes it twice per
+  /// transaction (pin, unpin), so it owns its cache line.
+  struct alignas(support::CacheLine) Slot {
     std::atomic<uint64_t> LocalEpoch{Unpinned};
     std::atomic<bool> InUse{false};
   };
+  static_assert(alignof(Slot) == support::CacheLine &&
+                    sizeof(Slot) == support::CacheLine,
+                "an epoch slot must own its cache line");
 
   struct Retired {
     void *Ptr;
@@ -118,8 +123,10 @@ private:
   uint64_t minActiveEpoch();
   void freeUpTo(std::vector<Retired> &Bin, uint64_t SafeEpoch);
 
-  std::atomic<uint64_t> GlobalEpoch{2};
-  std::atomic<uint64_t> Freed{0};
+  /// Read on every pin and every retire: alone on its line, apart from
+  /// the words collect() writes (Freed, the mutexes, the vectors).
+  alignas(support::CacheLine) std::atomic<uint64_t> GlobalEpoch{2};
+  alignas(support::CacheLine) std::atomic<uint64_t> Freed{0};
 
   std::mutex SlotsMutex;
   std::vector<Slot *> Slots; // never shrinks; slots are reused

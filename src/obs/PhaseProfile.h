@@ -72,14 +72,15 @@ inline const char *phaseName(Phase P) {
 #if OTM_OBS_ENABLE
 
 /// RAII episode timer: records (end - start) TSC ticks into \p Hist when
-/// \p On. The enable flag is the caller's per-attempt sampling cache (the
-/// same byte TxObs::onBegin loads), so the disabled path re-tests a hot
-/// struct member and never reads the TSC.
+/// \p On (\p Hist may be null when \p On is false). The enable flag is
+/// the caller's per-attempt sampling cache (the same byte TxObs::onBegin
+/// loads), so the disabled path re-tests a hot struct member and never
+/// reads the TSC.
 class PhaseScope {
 public:
-  OTM_ALWAYS_INLINE PhaseScope(bool On, Histogram &Hist) {
+  OTM_ALWAYS_INLINE PhaseScope(bool On, Histogram *Hist) {
     if (OTM_UNLIKELY(On)) {
-      H = &Hist;
+      H = Hist;
       T0 = readTsc();
     }
   }
@@ -99,7 +100,7 @@ private:
 
 class PhaseScope {
 public:
-  OTM_ALWAYS_INLINE PhaseScope(bool, Histogram &) {}
+  OTM_ALWAYS_INLINE PhaseScope(bool, Histogram *) {}
 };
 
 #endif // OTM_OBS_ENABLE
@@ -118,7 +119,7 @@ public:
 
 #if OTM_OBS_ENABLE && OTM_OBS_PHASE_OPENS
 #define OTM_PHASE_OPEN_SCOPE(On, Hist)                                         \
-  ::otm::obs::PhaseScope OtmPhaseOpenScope((On), (Hist))
+  ::otm::obs::PhaseScope OtmPhaseOpenScope((On), &(Hist))
 #else
 #define OTM_PHASE_OPEN_SCOPE(On, Hist) ((void)0)
 #endif

@@ -44,6 +44,8 @@
 #ifndef OTM_STM_MVCC_H
 #define OTM_STM_MVCC_H
 
+#include "support/Compiler.h"
+
 #include <atomic>
 #include <cstdint>
 
@@ -122,9 +124,19 @@ inline unsigned tailDepth(uintptr_t Tag) {
 /// 1 + fetch_add(1) *after* validation succeeds (no abort can follow), so
 /// stamps are unique, monotone, and any snapshot stamp T read from the
 /// clock has the property that every commit ≤ T is fully published.
+///
+/// Every writer commit RMWs the clock, so it owns its CacheLine: next to
+/// the words every transaction reads (the config, the sampling switch,
+/// the epoch domain's pointer) each commit would also evict those from
+/// every other core.
+using CommitClockLine = support::CacheAligned<std::atomic<uint64_t>>;
+static_assert(alignof(CommitClockLine) == support::CacheLine &&
+                  sizeof(CommitClockLine) == support::CacheLine,
+              "the commit clock must own its cache line");
+
 inline std::atomic<uint64_t> &commitClock() {
-  static std::atomic<uint64_t> Clock{0};
-  return Clock;
+  constinit static CommitClockLine Clock{0};
+  return Clock.Value;
 }
 
 } // namespace mv

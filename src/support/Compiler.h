@@ -12,6 +12,7 @@
 #ifndef OTM_SUPPORT_COMPILER_H
 #define OTM_SUPPORT_COMPILER_H
 
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 
@@ -56,6 +57,23 @@ namespace otm {
   std::abort();
 }
 
+namespace support {
+
+/// The unit of false-sharing isolation: two 64-byte lines, because the
+/// adjacent-line prefetcher fetches a line's pair partner along with it.
+/// Layout rule: a process-wide word that one thread writes on every
+/// transaction, or that every thread read-modify-writes, owns a
+/// CacheLine-aligned, CacheLine-sized block (DESIGN.md §3.4).
+inline constexpr std::size_t CacheLine = 128;
+
+/// One value alone in its CacheLine block. The alignment alone rounds the
+/// size up to a whole block (no padding member), so a `constinit static`
+/// of it is constant-initialised and its accessor has no guard check.
+template <typename T> struct alignas(CacheLine) CacheAligned {
+  T Value;
+};
+
+} // namespace support
 } // namespace otm
 
 #define OTM_UNREACHABLE(Msg) ::otm::unreachable(Msg, __FILE__, __LINE__)

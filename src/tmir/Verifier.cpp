@@ -10,6 +10,8 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <mutex>
+#include <vector>
 
 using namespace otm;
 using namespace otm::tmir;
@@ -32,6 +34,10 @@ public:
       for (Instr &I : BB->Instrs)
         if (!checkInstr(*BB, I))
           return false;
+    // Publish only a change: re-verifying a verified function writes
+    // nothing, so it can run while other threads read RegTypes.
+    if (Types != F.RegTypes)
+      F.RegTypes = std::move(Types);
     return true;
   }
 
@@ -65,7 +71,7 @@ private:
   /// Iterates to a fixpoint because a Mov may copy a register whose
   /// definition appears in a later block.
   bool inferDefTypes() {
-    F.RegTypes.assign(F.RegNames.size(), Type::makeVoid());
+    Types.assign(F.RegNames.size(), Type::makeVoid());
     std::vector<bool> Defined(F.RegNames.size(), false);
     for (std::unique_ptr<BasicBlock> &BB : F.Blocks)
       for (Instr &I : BB->Instrs) {
@@ -86,8 +92,8 @@ private:
           if (I.ResultReg < 0)
             continue;
           Type NewTy = resultType(I);
-          if (NewTy != F.RegTypes[I.ResultReg]) {
-            F.RegTypes[I.ResultReg] = NewTy;
+          if (NewTy != Types[I.ResultReg]) {
+            Types[I.ResultReg] = NewTy;
             Changed = true;
           }
         }
@@ -144,7 +150,7 @@ private:
   /// Static type of an operand for Mov inference; immediates are i64.
   Type operandStaticType(const Value &V) {
     if (V.isReg())
-      return F.RegTypes[V.regId()];
+      return Types[V.regId()];
     if (V.isNull())
       return Type::makeArr(); // placeholder ref type; compat() accepts
     return Type::makeI64();
@@ -160,7 +166,7 @@ private:
     case Value::Kind::Null:
       return Expected.isRef();
     case Value::Kind::Reg: {
-      const Type &Actual = F.RegTypes[V.regId()];
+      const Type &Actual = Types[V.regId()];
       if (Actual == Expected)
         return true;
       // Reference types are mutually assignable (mov-of-null erases the
@@ -176,7 +182,7 @@ private:
   bool isRefOperand(const Value &V) {
     if (V.isNull())
       return true;
-    return V.isReg() && F.RegTypes[V.regId()].isRef();
+    return V.isReg() && Types[V.regId()].isRef();
   }
 
   bool checkInstr(const BasicBlock &BB, const Instr &I) {
@@ -313,11 +319,18 @@ private:
   Module &M;
   Function &F;
   std::string &Error;
+  std::vector<Type> Types; ///< RegTypes as computed by this run
 };
 
 } // namespace
 
 bool tmir::verifyModule(Module &M, std::string &Error) {
+  // Several threads may verify one module at once (each Interpreter
+  // verifies the module it runs). Serialising the runs makes the first one
+  // the only writer of RegTypes; the runs after it find the types current
+  // and write nothing, so they never race with a reader outside the lock.
+  static std::mutex Mutex;
+  std::lock_guard<std::mutex> Lock(Mutex);
   for (std::unique_ptr<Function> &F : M.Functions) {
     FunctionVerifier V(M, *F, Error);
     if (!V.run())

@@ -6,6 +6,8 @@
 
 #include "txn/ContentionManager.h"
 
+#include "support/Compiler.h"
+
 #include <cstdlib>
 #include <cstring>
 
@@ -148,6 +150,7 @@ CmPolicy otm::txn::policyFromEnv(CmPolicy Fallback) {
 }
 
 uint64_t otm::txn::nextArrivalStamp() {
-  static std::atomic<uint64_t> Clock{0};
-  return Clock.fetch_add(1, std::memory_order_relaxed) + 1;
+  // Every greedy-CM transaction RMWs this clock: it owns its cache line.
+  constinit static support::CacheAligned<std::atomic<uint64_t>> Clock{0};
+  return Clock.Value.fetch_add(1, std::memory_order_relaxed) + 1;
 }

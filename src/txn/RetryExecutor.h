@@ -159,7 +159,7 @@ public:
       // Attribute the inter-attempt pause to the Backoff phase. The scope
       // is armed only when the client wired a histogram (setter below) and
       // latency sampling is on, so the common path costs one null check.
-      obs::PhaseScope Ph(BackoffHist && obs::samplingEnabled(), *BackoffHist);
+      obs::PhaseScope Ph(BackoffHist && obs::samplingEnabled(), BackoffHist);
       Paused = CM.pauseAfterAbort(Attempts, B);
     }
     if (Paused)

@@ -43,9 +43,12 @@ class SerialGate {
 public:
   /// One registered thread's in-flight attempt depth. Padded so the
   /// per-attempt store never shares a line with another thread's slot.
-  struct alignas(64) Slot {
+  struct alignas(support::CacheLine) Slot {
     std::atomic<uint64_t> Active{0};
   };
+  static_assert(alignof(Slot) == support::CacheLine &&
+                    sizeof(Slot) == support::CacheLine,
+                "a gate slot must own its cache line");
 
   static SerialGate &instance();
 

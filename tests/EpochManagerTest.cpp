@@ -152,3 +152,30 @@ TEST(EpochManager, FreedCountMatchesRetirementsFromTwoThreads) {
   EXPECT_EQ(EM.freedCount() - Freed0, uint64_t{2} * PerThread);
   EXPECT_EQ(LiveObjects.load(), Live0);
 }
+
+TEST(EpochManager, RetireAfterThreadStateDestroyedGoesToOrphanBin) {
+  // Thread-local destructors run in reverse order of construction. The
+  // guard below is built before the thread's epoch state, so its destructor
+  // retires after that state is gone, as a static TxObject's history does
+  // at process exit. The retirement must land in the orphan bin, not in
+  // the dead thread's bin.
+  struct RetireAtExit {
+    ~RetireAtExit() { retireTracked(new Tracked()); }
+  };
+  EpochManager &EM = EpochManager::global();
+  EM.drainForTesting();
+  const int Live0 = LiveObjects.load();
+  std::thread([] {
+    thread_local RetireAtExit Guard;
+    (void)&Guard;
+    EpochManager &Local = EpochManager::global();
+    Local.pin();
+    retireTracked(new Tracked());
+    Local.unpin();
+  }).join();
+  EXPECT_EQ(LiveObjects.load(), Live0 + 2);
+  EXPECT_EQ(EM.pendingForTesting(), 2u);
+  EM.drainForTesting();
+  EXPECT_EQ(EM.pendingForTesting(), 0u);
+  EXPECT_EQ(LiveObjects.load(), Live0);
+}

@@ -271,6 +271,37 @@ TEST_P(InterpTxModes, ConcurrentIncrementsAreExact) {
   EXPECT_EQ(C->Slots[0].load(), NumThreads * Reps);
 }
 
+TEST(InterpConcurrent, FourInterpretersBuildAtOnceOnOneModule) {
+  // Every Interpreter verifies its module. Built from four threads at once
+  // on one module, no constructor may see another's type inference half
+  // done. Even rounds start from a freshly parsed module, whose register
+  // types the first verification fills in; odd rounds from a lowered one,
+  // already verified (the perfbench set-up).
+  constexpr int NumThreads = 4;
+  constexpr int Reps = 50;
+  for (int Round = 0; Round < 32; ++Round) {
+    Module M = parseModuleOrDie(CounterProgram);
+    if (Round % 2)
+      lowerAndOptimize(M, OptConfig::all());
+    ThreadBarrier Barrier(NumThreads);
+    std::vector<std::thread> Threads;
+    for (int T = 0; T < NumThreads; ++T)
+      Threads.emplace_back([&] {
+        Barrier.arriveAndWait();
+        Interpreter::Options O;
+        O.Mode = Interpreter::TxMode::ObjStm;
+        Interpreter I(M, O);
+        HeapObject *C = I.makeObject("Counter");
+        Interpreter::RunResult R =
+            I.run("incr", {HeapObject::toBits(C), Reps});
+        EXPECT_FALSE(R.Trapped) << R.Error;
+        EXPECT_EQ(R.Value, Reps);
+      });
+    for (std::thread &T : Threads)
+      T.join();
+  }
+}
+
 TEST(InterpTx, NaiveAndOptimizedAgreeButCountsDiffer) {
   Module Naive = parsed(CounterProgram);
   lowerAndOptimize(Naive, OptConfig::none());

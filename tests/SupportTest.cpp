@@ -4,6 +4,9 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "obs/TxObs.h"
+#include "stm/Mvcc.h"
+#include "stm/TxManager.h"
 #include "support/Backoff.h"
 #include "support/ChunkedVector.h"
 #include "support/Random.h"
@@ -12,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <memory>
 #include <set>
@@ -324,4 +328,18 @@ TEST(ThreadBarrier, Reusable) {
   for (std::thread &T : Threads)
     T.join();
   EXPECT_EQ(Counter.load(), NumThreads * 5);
+}
+
+TEST(CacheLine, CommitClockOwnsItsBlock) {
+  // Every writer commit RMWs the clock; the config and the sampling switch
+  // are read by every transaction. Sharing a block with the clock would
+  // make each commit evict them from every other core.
+  auto Addr = [](const void *P) { return reinterpret_cast<uintptr_t>(P); };
+  const uintptr_t Clock = Addr(&stm::mv::commitClock());
+  EXPECT_EQ(Clock % support::CacheLine, 0u);
+  auto OutsideClockBlock = [&](const void *P) {
+    return Addr(P) < Clock || Addr(P) >= Clock + support::CacheLine;
+  };
+  EXPECT_TRUE(OutsideClockBlock(&stm::TxManager::config()));
+  EXPECT_TRUE(OutsideClockBlock(&obs::SamplingOn));
 }
