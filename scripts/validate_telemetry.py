@@ -36,7 +36,7 @@ MVCC_KEYS = ("enabled", "snapshot_commits", "snapshot_upgrades",
              "snapshot_refreshes", "snapshot_reads",
              "snapshot_reads_from_chain", "snapshot_waits",
              "versions_installed", "versions_retired", "versions_live",
-             "chain_depth")
+             "clock_advances", "chain_depth")
 
 # Same contract for the "boost" source (transactional boosting, DESIGN.md
 # section 3.10): the tier is always built, so enabled is always true.

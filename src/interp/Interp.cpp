@@ -83,8 +83,21 @@ std::recursive_mutex &globalTxMutex() {
 }
 
 thread_local int GlobalLockDepth = 0;
-thread_local int CallDepth = 0;
-constexpr int MaxCallDepth = 2048;
+
+/// Frame address of the outermost run() on this thread; 0 outside run().
+thread_local uintptr_t RunEntryFrame = 0;
+
+/// Native stack an interpreted call chain may use below its run() entry.
+/// Interpreted recursion is native recursion, and a frame count cannot
+/// bound it: frame sizes change with the build (sanitizer redzones make
+/// each one about three times larger). 2 MiB is about 3000 levels in a
+/// release build and leaves three quarters of a default 8 MiB thread stack
+/// for the caller above run() and for throwing the trap.
+constexpr uintptr_t MaxNativeStackBytes = uintptr_t{2} << 20;
+
+uintptr_t frameAddress() {
+  return reinterpret_cast<uintptr_t>(__builtin_frame_address(0));
+}
 
 /// Monotone work counter for karma accrual (same measure as Stm::atomic).
 uint64_t txOpCount(stm::TxManager &Tx) {
@@ -233,6 +246,18 @@ Interpreter::RunResult Interpreter::run(const std::string &Name,
   assert(DF && "function present in module but not in decoded module");
 
   Counts.ActiveRuns.fetch_add(1, std::memory_order_relaxed);
+  // The outermost run() on this thread anchors the native stack budget.
+  struct EntryFrameScope {
+    bool Outermost = RunEntryFrame == 0;
+    EntryFrameScope() {
+      if (Outermost)
+        RunEntryFrame = frameAddress();
+    }
+    ~EntryFrameScope() {
+      if (Outermost)
+        RunEntryFrame = 0;
+    }
+  } EntryFrame;
   DynCounts::Delta D;
   try {
     Result.Value = execFunction(*DF, Args.data(), Args.size(), D);
@@ -268,13 +293,9 @@ uint32_t Interpreter::failedAttemptResume(Frame &Fr, DynCounts::Delta &D) {
 int64_t Interpreter::execFunction(const DecodedFunction &DF,
                                   const int64_t *Args, std::size_t NumArgs,
                                   DynCounts::Delta &D) {
-  if (OTM_UNLIKELY(++CallDepth > MaxCallDepth)) {
-    --CallDepth;
-    trap("call depth limit exceeded in " + DF.Src->Name);
-  }
-  struct DepthGuard {
-    ~DepthGuard() { --CallDepth; }
-  } Guard;
+  // The stack grows down from run()'s frame.
+  if (OTM_UNLIKELY(RunEntryFrame - frameAddress() > MaxNativeStackBytes))
+    trap("native stack depth limit exceeded in " + DF.Src->Name);
 
   Frame Fr;
   Fr.DF = &DF;

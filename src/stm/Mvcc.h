@@ -120,15 +120,17 @@ inline unsigned tailDepth(uintptr_t Tag) {
   return static_cast<unsigned>(Tag & TailDepthMask);
 }
 
-/// The global commit clock. Writer commits stamp their objects with
-/// 1 + fetch_add(1) *after* validation succeeds (no abort can follow), so
-/// stamps are unique, monotone, and any snapshot stamp T read from the
-/// clock has the property that every commit ≤ T is fully published.
+/// The global commit clock, a read-mostly word (DESIGN.md §3.9). The word
+/// is `(Part << 1) | ObservedBit`; a stamp is `(Part << SeqBits) | Seq`.
+/// A snapshot reader sets ObservedBit and reads everything stamped in parts
+/// up to the current one. A writer stamps from the current part, one above
+/// the largest version it overwrote, and moves the clock to the next part
+/// only when a reader has observed the current one or the part's sequence
+/// space is spent. Writers with no snapshot reader around never write it.
 ///
-/// Every writer commit RMWs the clock, so it owns its CacheLine: next to
-/// the words every transaction reads (the config, the sampling switch,
-/// the epoch domain's pointer) each commit would also evict those from
-/// every other core.
+/// The clock still owns its CacheLine: each advance and each observation
+/// would otherwise evict the words every transaction reads (the config,
+/// the sampling switch, the epoch domain's pointer) from every other core.
 using CommitClockLine = support::CacheAligned<std::atomic<uint64_t>>;
 static_assert(alignof(CommitClockLine) == support::CacheLine &&
                   sizeof(CommitClockLine) == support::CacheLine,
@@ -137,6 +139,72 @@ static_assert(alignof(CommitClockLine) == support::CacheLine &&
 inline std::atomic<uint64_t> &commitClock() {
   constinit static CommitClockLine Clock{0};
   return Clock.Value;
+}
+
+constexpr uint64_t ObservedBit = 1;
+/// Sequence bits per part: one object takes up to 2^SeqBits commits in a
+/// part before a writer must advance the clock (versions are 63-bit, so
+/// the remaining 47 bits of part never run out).
+constexpr unsigned SeqBits = 16;
+constexpr uint64_t SeqMask = (uint64_t{1} << SeqBits) - 1;
+
+inline uint64_t clockPart(uint64_t Clock) { return Clock >> 1; }
+inline uint64_t stampPart(uint64_t Stamp) { return Stamp >> SeqBits; }
+
+/// Reader side: marks the current part observed and returns the snapshot
+/// stamp, the largest stamp the part can hold. The seq_cst CAS (or the
+/// load of a bit another reader set) is the reader's half of the Dekker
+/// handshake; its object-word loads follow it.
+inline uint64_t observeClock() {
+  std::atomic<uint64_t> &Clock = commitClock();
+  uint64_t C = Clock.load(std::memory_order_seq_cst);
+  while (!(C & ObservedBit) &&
+         !Clock.compare_exchange_weak(C, C | ObservedBit,
+                                      std::memory_order_seq_cst))
+    ;
+  return (clockPart(C) << SeqBits) | SeqMask;
+}
+
+/// Writer side: the stamp for a commit that holds ownership of every object
+/// it wrote, whose largest overwritten version is \p MaxPrev. Runs before
+/// read-set validation (the loads here are the writer's half of the
+/// handshake, after its ownership CASes). Sets \p Advanced when this call
+/// moved the clock to the next part.
+///
+/// The needed part comes from the first clock load only: one past an
+/// observed part (or past a part whose sequence space MaxPrev used up),
+/// the current part otherwise. A later observation of a part this writer
+/// already reached does not push it further, so the part stays monotone in
+/// the order writers load the clock. MaxPrev's part never exceeds the
+/// clock's: whoever published it had moved the clock there first.
+inline uint64_t writerStamp(uint64_t MaxPrev, bool &Advanced) {
+  std::atomic<uint64_t> &Clock = commitClock();
+  uint64_t C = Clock.load(std::memory_order_seq_cst);
+  const uint64_t Part = clockPart(C);
+  const uint64_t Need =
+      (C & ObservedBit) || stampPart(MaxPrev + 1) > Part ? Part + 1 : Part;
+  Advanced = false;
+  while (clockPart(C) < Need) {
+    if (Clock.compare_exchange_weak(C, Need << 1, std::memory_order_seq_cst)) {
+      Advanced = true;
+      break;
+    }
+  }
+  const uint64_t First = Need << SeqBits;
+  return MaxPrev + 1 > First ? MaxPrev + 1 : First;
+}
+
+/// The hardware rung's stamp, taken inside its speculative region: always
+/// advances the clock, so the stamp sits above every published one and no
+/// per-object maximum is needed. An advance is always correct; the region
+/// makes the load and the CAS one atomic step with the stores it stamps.
+inline uint64_t advanceClock() {
+  std::atomic<uint64_t> &Clock = commitClock();
+  uint64_t C = Clock.load(std::memory_order_seq_cst);
+  while (!Clock.compare_exchange_weak(C, (clockPart(C) + 1) << 1,
+                                      std::memory_order_seq_cst))
+    ;
+  return (clockPart(C) + 1) << SeqBits;
 }
 
 } // namespace mv

@@ -86,7 +86,8 @@ inline obs::JsonValue statsToJson(const TxStats &S) {
 }
 
 /// The MVCC tier's view of a stats block: snapshot-path traffic, version
-/// churn, and the chain-depth distribution (DESIGN.md §3.9). live_versions
+/// churn, commit-clock advances (each one a writer meeting an observed
+/// part) and the chain-depth distribution (DESIGN.md §3.9). live_versions
 /// is a gauge derived from two counters sampled non-atomically, so it can
 /// transiently undershoot; it is clamped at zero.
 inline obs::JsonValue mvccStatsToJson(const TxStats &S) {
@@ -103,6 +104,7 @@ inline obs::JsonValue mvccStatsToJson(const TxStats &S) {
   V.set("versions_live", S.MvVersionsInstalled >= S.MvVersionsRetired
                              ? S.MvVersionsInstalled - S.MvVersionsRetired
                              : 0);
+  V.set("clock_advances", S.MvClockAdvances);
   obs::JsonValue Depth = obs::JsonValue::object();
   Depth.set("count", S.MvChainDepth.count());
   Depth.set("max", S.MvChainDepth.max());

@@ -47,7 +47,10 @@ TlsHolder::~TlsHolder() {
 }
 
 bool TxManager::validateEntry(const ReadEntry &Entry) const {
-  WordValue Cur = Entry.Obj->Word.load(std::memory_order_acquire);
+  // seq_cst: validation follows the commit stamp's clock load, and a writer
+  // that overwrites this object later must load the clock after that load
+  // (DESIGN.md §3.9, read-write anti-dependencies).
+  WordValue Cur = Entry.Obj->Word.load(std::memory_order_seq_cst);
   if (Cur == Entry.Seen)
     return !isOwned(Cur); // seen words are always unowned versions
   if (isOwned(Cur)) {
@@ -86,9 +89,9 @@ bool TxManager::validate() {
 
 void TxManager::releaseOwnershipForCommit(uint64_t CommitStamp) {
 #if OTM_MVCC
-  // Every object this commit wrote gets the same global stamp: snapshot
-  // readers compare it against their begin-time clock value, and stamps
-  // are unique and monotone so validation's word compare stays exact.
+  // Every object this commit wrote gets the same stamp: snapshot readers
+  // compare it against their begin stamp, and it is above each object's
+  // previous version, so validation's word compare stays exact.
   const WordValue NewWord = makeVersion(CommitStamp);
   UpdateLog.forEach([NewWord](UpdateEntry &Entry) {
     Entry.Obj->Word.store(NewWord, std::memory_order_release);
@@ -123,13 +126,12 @@ void TxManager::releaseOwnershipForAbort() {
     return;
   }
 #if OTM_MVCC
-  // The pseudo-commit draws from the same clock as real commits (stamps
-  // stay unique and monotone) and installs the same version-chain node:
-  // the undo log's pre-images are exactly the values this rollback just
-  // restored, so snapshot readers resolve through it instead of being
+  // The pseudo-commit takes its stamp by the same rule as real commits
+  // (per-object stamps keep increasing) and installs the same version-chain
+  // node: the undo log's pre-images are exactly the values this rollback
+  // just restored, so snapshot readers resolve through it instead of being
   // pushed to a refresh by a stamp they cannot find on the chain.
-  const uint64_t AbortStamp =
-      1 + mv::commitClock().fetch_add(1, std::memory_order_acq_rel);
+  const uint64_t AbortStamp = takeWriterStamp();
   if (OTM_LIKELY(ActiveConfig.MvVersions > 0))
     installVersions(AbortStamp);
   const WordValue NewWord = makeVersion(AbortStamp);
@@ -154,6 +156,12 @@ bool TxManager::tryCommit() {
 #if OTM_MVCC
   if (OTM_UNLIKELY(SnapshotMode))
     return snapshotCommit();
+  // Take the stamp while holding every write ownership and *before*
+  // validation (DESIGN.md §3.9): a writer that later overwrites something
+  // this one read then loads the clock after this one did, so its part is
+  // no smaller. A stamp taken after validation let a snapshot reader see
+  // that later writer without this one.
+  const uint64_t CommitStamp = UpdateLog.empty() ? 0 : takeWriterStamp();
 #endif
 
   if (OTM_UNLIKELY(!validate())) {
@@ -169,14 +177,10 @@ bool TxManager::tryCommit() {
   if (!UpdateLog.empty()) {
     obs::PhaseScope Ph(Obs.Sampling, &Stats.PhaseWriteBackCycles);
 #if OTM_MVCC
-    // Take the commit stamp only now: validation has succeeded and nothing
-    // can abort this transaction anymore, so every stamp the clock hands
-    // out is eventually published and snapshot stamps never wait on holes.
-    const uint64_t CommitStamp =
-        1 + mv::commitClock().fetch_add(1, std::memory_order_acq_rel);
     if (OTM_LIKELY(ActiveConfig.MvVersions > 0))
       installVersions(CommitStamp);
     releaseOwnershipForCommit(CommitStamp);
+    LastCommitStamp = CommitStamp;
 #else
     releaseOwnershipForCommit(0);
 #endif
@@ -725,6 +729,13 @@ void TxManager::snapshotWait(TxObject *Obj) {
     else
       cpuRelax();
   }
+}
+
+uint64_t TxManager::takeWriterStamp() {
+  bool Advanced;
+  const uint64_t Stamp = mv::writerStamp(MaxPrevVersion, Advanced);
+  Stats.MvClockAdvances += Advanced;
+  return Stamp;
 }
 
 void TxManager::upgradeToWriter() {

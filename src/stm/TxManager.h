@@ -89,7 +89,10 @@ namespace detail {
 extern constinit thread_local TxManager *CurrentTxPtr;
 } // namespace detail
 
-class TxManager {
+/// Each thread's manager is heap-allocated once and lives for the process;
+/// the alignment gives it whole cache lines, so no neighbouring heap block
+/// (another thread's data, say) shares a line with its hot fields.
+class alignas(support::CacheLine) TxManager {
 public:
   /// Returns the calling thread's transaction manager (the paper's
   /// GetTxManager operation; creation is lazy and thread-local).
@@ -132,10 +135,11 @@ public:
            AllocLog.empty() && "logs leaked from a previous attempt");
     assert(boostStateEmpty() && "boost state leaked from a previous attempt");
     EPin.pin(); // nested under RetryController's pre-pin on executor paths
+    MaxPrevVersion = 0;
 #if OTM_MVCC
     SnapshotMode = Snapshot;
     if (OTM_UNLIKELY(SnapshotMode))
-      SnapshotStamp = mv::commitClock().load(std::memory_order_acquire);
+      SnapshotStamp = mv::observeClock();
 #else
     (void)Snapshot;
 #endif
@@ -240,10 +244,14 @@ public:
         continue;
       }
       UpdateEntry *Entry = UpdateLog.emplaceBack(Obj, W, this);
+      // seq_cst: the writer's half of the snapshot handshake (DESIGN.md
+      // §3.9) orders this CAS before the commit's clock load.
       if (Obj->Word.compare_exchange_strong(W, makeOwned(Entry),
-                                            std::memory_order_acq_rel,
-                                            std::memory_order_acquire))
+                                            std::memory_order_seq_cst)) {
+        if (versionOf(W) > MaxPrevVersion)
+          MaxPrevVersion = versionOf(W);
         return;
+      }
       UpdateLog.popBack(); // lost the race; W holds the fresh word
     }
   }
@@ -357,6 +365,10 @@ public:
 #endif
   }
 
+  /// Stamp of this thread's last writer commit (software or hardware), or
+  /// 0 when the MVCC tier is compiled out.
+  uint64_t lastCommitStampForTesting() const { return LastCommitStamp; }
+
   /// Snapshot-consistent field read: the in-place value when the object's
   /// version is at or below the begin stamp (seqlock-checked), otherwise
   /// the pre-image reconstructed from the object's version chain. Never
@@ -374,7 +386,9 @@ public:
     const uint64_t T0 = SnapshotStamp;
     unsigned Retries = 0;
     for (;;) {
-      WordValue W = Obj->Word.load(std::memory_order_acquire);
+      // seq_cst: the reader's half of the handshake with in-flight writers
+      // (DESIGN.md §3.9); it follows observeClock() in begin().
+      WordValue W = Obj->Word.load(std::memory_order_seq_cst);
       if (OTM_LIKELY(!isOwned(W) && versionOf(W) <= T0)) {
         // Fast path: the committed in-place value is old enough. The word
         // recheck behind an acquire fence makes the two loads a seqlock:
@@ -668,6 +682,11 @@ private:
 
   /// Snapshot-path commit: no validation, no write-back, no release walk.
   bool snapshotCommit();
+
+  /// The stamp for releasing this attempt's update log (mv::writerStamp);
+  /// counts the clock advance it may make. Call with every write
+  /// ownership held.
+  uint64_t takeWriterStamp();
 #endif
 
   /// Wraps \p Fn in a TxPool-allocated closure and appends it to \p Log.
@@ -709,21 +728,23 @@ private:
 
   /// The version stamp a hardware transaction publishes into the STM words
   /// it writes. Under MVCC every stamp must come from the global commit
-  /// clock (snapshot readers order by it), and the fetch_add happens
+  /// clock (snapshot readers order by it), and the clock advance happens
   /// *inside* the speculative region: the RMW joins the transaction, so if
   /// this region survives to commit, no other clock user intervened and
-  /// the stamp is effectively commit-time — unique and monotone. The cost
-  /// is that any concurrent clock bump (every software commit) aborts a
-  /// speculating hardware writer; E12 prices that honestly. Without MVCC,
-  /// version numbers only feed equality checks, so a per-object bump off
-  /// the previous word suffices and touches no shared line.
+  /// the stamp sits above every stamp published before it. The cost is
+  /// that any concurrent clock write (a reader's observation or a software
+  /// writer's advance) aborts a speculating hardware writer; E12 prices
+  /// that. Without MVCC, version numbers only feed equality checks, so a
+  /// per-object bump off the previous word suffices and touches no shared
+  /// line.
   uint64_t htmStamp(WordValue PrevW) {
 #if OTM_MVCC
     (void)PrevW;
     if (!HtmStamped) {
-      HtmStampVal =
-          1 + mv::commitClock().fetch_add(1, std::memory_order_acq_rel);
+      HtmStampVal = mv::advanceClock();
       HtmStamped = true;
+      ++Stats.MvClockAdvances;
+      LastCommitStamp = HtmStampVal; // speculative: kept only if we commit
     }
     return HtmStampVal;
 #else
@@ -766,11 +787,11 @@ private:
 #if OTM_MVCC
   bool HtmStamped = false;   ///< this hardware attempt drew its clock stamp
   uint64_t HtmStampVal = 0;  ///< ... and this is it
-#endif
-#if OTM_MVCC
   bool SnapshotMode = false;   ///< current attempt runs validate-free
-  uint64_t SnapshotStamp = 0;  ///< commit-clock value at snapshot begin
+  uint64_t SnapshotStamp = 0;  ///< largest stamp the snapshot covers
 #endif
+  uint64_t MaxPrevVersion = 0;  ///< largest version the update log overwrote
+  uint64_t LastCommitStamp = 0; ///< stamp of the last writer commit
 
   ChunkedVector<ReadEntry> ReadLog;
   ChunkedVector<UpdateEntry> UpdateLog;
@@ -792,6 +813,8 @@ private:
   /// the out-of-line + thread-local-lookup path.
   gc::EpochManager::ThreadPin EPin = gc::EpochManager::global().threadPin();
 };
+static_assert(alignof(TxManager) == support::CacheLine,
+              "a TxManager must own every cache line it touches");
 
 } // namespace stm
 } // namespace otm

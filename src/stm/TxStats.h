@@ -52,6 +52,7 @@ namespace stm {
   X(SnapshotWaits)          /* ... that waited out an in-flight writer */      \
   X(MvVersionsInstalled)    /* version-chain nodes pushed at commit */         \
   X(MvVersionsRetired)      /* version-chain nodes cut and epoch-retired */    \
+  X(MvClockAdvances)        /* writer stamps that moved the commit clock */    \
   X(BoostLockAcquires)      /* abstract (container,key) locks taken */         \
   X(BoostLockWaits)         /* ... that found a foreign owner first */         \
   X(BoostCommitOps)         /* deferred on-commit actions executed */          \

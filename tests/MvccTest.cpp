@@ -280,6 +280,155 @@ std::size_t commitAndCheck(Counter &C, unsigned K, int N, std::size_t Depth) {
 
 } // namespace
 
+namespace {
+
+uint64_t clockWord() {
+  return mv::commitClock().load(std::memory_order_seq_cst);
+}
+
+/// Commits one write of \p V to \p C and returns the commit's stamp.
+uint64_t stampedWrite(Counter &C, int64_t V) {
+  commitWrite(C, V);
+  return TxManager::current().lastCommitStampForTesting();
+}
+
+/// One write to a scratch object, so the clock starts unobserved whatever
+/// ran before on it.
+void settleClock() {
+  Counter Scratch;
+  commitWrite(Scratch, 1);
+}
+
+/// Runs an empty snapshot reader and returns its snapshot stamp.
+uint64_t snapshotStamp() {
+  uint64_t T = 0;
+  Stm::atomicReadOnly(
+      [&](TxManager &Tx) { T = Tx.snapshotStampForTesting(); });
+  return T;
+}
+
+/// A software write to \p C that rolls back through the abort release.
+void abortedWrite(Counter &C) {
+  Stm::atomic([&](TxManager &Tx) {
+    Tx.write(&C, &Counter::Value, int64_t{99});
+    Tx.userAbort();
+  });
+}
+
+} // namespace
+
+TEST(Mvcc, WritersWithoutASnapshotReaderLeaveTheClockAlone) {
+  if (!TxManager::mvccEnabled())
+    GTEST_SKIP() << "built with OTM_MVCC=0";
+  ConfigGuard Guard;
+  TxManager::config().HtmAttempts = 0;
+  settleClock();
+  Counter A, B;
+  resetStats();
+  const uint64_t Clock = clockWord();
+  ASSERT_EQ(Clock & mv::ObservedBit, 0u);
+  uint64_t LastA = 0, LastB = 0;
+  for (int I = 0; I < 100; ++I) {
+    Counter &C = I % 3 ? A : B;
+    uint64_t &Last = I % 3 ? LastA : LastB;
+    const uint64_t Stamp = stampedWrite(C, I);
+    // The clock's part, one above the object's previous version.
+    EXPECT_EQ(mv::stampPart(Stamp), mv::clockPart(Clock));
+    EXPECT_GT(Stamp, Last);
+    EXPECT_EQ(C.versionForTesting(), Stamp);
+    Last = Stamp;
+  }
+  EXPECT_EQ(clockWord(), Clock);
+  EXPECT_EQ(statsNow().MvClockAdvances, 0u);
+}
+
+TEST(Mvcc, ASnapshotReaderMovesTheNextWriterPastItsStamp) {
+  if (!TxManager::mvccEnabled())
+    GTEST_SKIP() << "built with OTM_MVCC=0";
+  ConfigGuard Guard;
+  TxManager::config().HtmAttempts = 0;
+  settleClock();
+  Counter C;
+  commitWrite(C, 1);
+  resetStats();
+  const uint64_t T = snapshotStamp();
+  // The reader marked the part observed and covers all of it.
+  EXPECT_EQ(clockWord(), (mv::stampPart(T) << 1) | mv::ObservedBit);
+  EXPECT_EQ(T & mv::SeqMask, mv::SeqMask);
+  EXPECT_EQ(snapshotStamp(), T) << "a second reader shares the part";
+
+  const uint64_t S1 = stampedWrite(C, 2);
+  EXPECT_GT(S1, T);
+  EXPECT_EQ(S1, (mv::stampPart(T) + 1) << mv::SeqBits);
+  EXPECT_EQ(clockWord(), (mv::stampPart(T) + 1) << 1) << "advanced, unobserved";
+  // The new part is unobserved: the next writer stays in it.
+  const uint64_t S2 = stampedWrite(C, 3);
+  EXPECT_EQ(S2, S1 + 1);
+  EXPECT_EQ(statsNow().MvClockAdvances, 1u);
+
+  int64_t Got = -1;
+  uint64_t T2 = 0;
+  Stm::atomicReadOnly([&](TxManager &Tx) {
+    T2 = Tx.snapshotStampForTesting();
+    Got = Tx.read(&C, &Counter::Value);
+  });
+  EXPECT_GE(T2, S2);
+  EXPECT_EQ(Got, 3);
+}
+
+TEST(Mvcc, SpentSequenceSpaceAdvancesTheClock) {
+  if (!TxManager::mvccEnabled())
+    GTEST_SKIP() << "built with OTM_MVCC=0";
+  ConfigGuard Guard;
+  TxManager::config().HtmAttempts = 0;
+  TxManager::config().MvVersions = 1; // keep 2^16 commits cheap
+  settleClock();
+  Counter C;
+  resetStats();
+  const uint64_t Part = mv::clockPart(clockWord());
+  uint64_t Last = C.versionForTesting();
+  // 2^SeqBits + 1 commits to one object cannot fit in one part.
+  for (uint64_t I = 0; I <= mv::SeqMask + 1; ++I) {
+    const uint64_t Stamp = stampedWrite(C, int64_t(I));
+    if (Stamp <= Last) {
+      ADD_FAILURE() << "commit " << I << ": stamp " << Stamp
+                    << " does not exceed " << Last;
+      break;
+    }
+    Last = Stamp;
+  }
+  EXPECT_EQ(mv::stampPart(Last), Part + 1);
+  EXPECT_EQ(clockWord(), (Part + 1) << 1);
+  EXPECT_EQ(statsNow().MvClockAdvances, 1u);
+}
+
+TEST(Mvcc, AbortReleasesTakeStampsByTheWriterRule) {
+  if (!TxManager::mvccEnabled())
+    GTEST_SKIP() << "built with OTM_MVCC=0";
+  ConfigGuard Guard;
+  TxManager::config().HtmAttempts = 0; // the abort must run in software
+  settleClock();
+  Counter C;
+  commitWrite(C, 1);
+  resetStats();
+  // No reader: the identity commit stays in the part, one above the
+  // object's version.
+  const uint64_t Clock = clockWord();
+  const uint64_t V0 = C.versionForTesting();
+  abortedWrite(C);
+  EXPECT_EQ(C.versionForTesting(), V0 + 1);
+  EXPECT_EQ(clockWord(), Clock);
+  // After a reader observed the part, the identity commit moves past it.
+  const uint64_t T = snapshotStamp();
+  abortedWrite(C);
+  EXPECT_EQ(C.versionForTesting(), (mv::stampPart(T) + 1) << mv::SeqBits);
+  EXPECT_EQ(clockWord(), (mv::stampPart(T) + 1) << 1);
+  EXPECT_EQ(C.Value.load(), 1);
+  TxStats S = statsNow();
+  EXPECT_EQ(S.AbortsByUser, 2u);
+  EXPECT_EQ(S.MvClockAdvances, 1u);
+}
+
 TEST(Mvcc, TruncationIsExactAtDepthsOneTwoAndEight) {
   if (!TxManager::mvccEnabled())
     GTEST_SKIP() << "built with OTM_MVCC=0";
