@@ -175,8 +175,8 @@ int main() {
   std::printf("E9: read-mostly Zipf workload, snapshot vs validate read-only "
               "commits (pool=%u, %u reads/tx, skew=%.2f)\n",
               PoolSize, ReadsPerTx, BenchZipfSkew);
-  if (!TxManager::mvccEnabled())
-    std::printf("NOTE: built with OTM_MVCC=0 — mode=snapshot falls back to "
+  if (TxManager::config().MvVersions == 0)
+    std::printf("NOTE: OTM_MV_VERSIONS=0 — mode=snapshot falls back to "
                 "the validate path (snapshot_commits stays 0)\n");
   printHeaderRule();
   std::printf("%-9s %7s %9s %10s %11s %11s %12s %9s %12s\n", "mode", "threads",

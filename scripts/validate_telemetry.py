@@ -28,10 +28,11 @@ import sys
 SCHEMA = "otm-telemetry-v1"
 REQUIRED_KEYS = ("schema", "seq", "t_us", "interval_ms", "totals", "deltas")
 
-# When a record carries the "mvcc" source (registered by the object STM when
-# the tier is compiled in), these keys must be present so consumers can rely
-# on them without per-key existence checks. The keys exist with value 0 in
-# OTM_MVCC=0 builds too — the schema must not fork on the compile switch.
+# When a record carries the "mvcc" source (registered by the object STM),
+# these keys must be present so consumers can rely on them without per-key
+# existence checks. With OTM_MV_VERSIONS=0 "enabled" is false and the
+# counters stay 0, but every key is still there: the schema must not fork
+# on the runtime switch.
 MVCC_KEYS = ("enabled", "snapshot_commits", "snapshot_upgrades",
              "snapshot_refreshes", "snapshot_reads",
              "snapshot_reads_from_chain", "snapshot_waits",

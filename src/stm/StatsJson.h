@@ -18,7 +18,7 @@
 #include "obs/AbortSites.h"
 #include "obs/Json.h"
 #include "obs/PhaseProfile.h"
-#include "stm/Mvcc.h"
+#include "stm/TxManager.h"
 #include "stm/TxStats.h"
 #include "txn/AbstractLockTable.h"
 #include "txn/CmStats.h"
@@ -89,10 +89,11 @@ inline obs::JsonValue statsToJson(const TxStats &S) {
 /// churn, commit-clock advances (each one a writer meeting an observed
 /// part) and the chain-depth distribution (DESIGN.md §3.9). live_versions
 /// is a gauge derived from two counters sampled non-atomically, so it can
-/// transiently undershoot; it is clamped at zero.
+/// transiently undershoot; it is clamped at zero. "enabled" follows the
+/// live TxConfig::MvVersions (0 switches the tier off).
 inline obs::JsonValue mvccStatsToJson(const TxStats &S) {
   obs::JsonValue V = obs::JsonValue::object();
-  V.set("enabled", OTM_MVCC != 0);
+  V.set("enabled", TxManager::config().MvVersions > 0);
   V.set("snapshot_commits", S.SnapshotCommits);
   V.set("snapshot_upgrades", S.SnapshotUpgrades);
   V.set("snapshot_refreshes", S.SnapshotRefreshes);

@@ -110,9 +110,7 @@ struct StmRetryAdapter {
   /// Snapshot readers are invisible and validate-free: the retry layer lets
   /// them bypass the serial gate (they cannot conflict with the exclusive
   /// writer) while still pinning the epoch.
-  static bool snapshotAvailable() {
-    return TxManager::mvccEnabled() && TxManager::config().MvVersions > 0;
-  }
+  static bool snapshotAvailable() { return TxManager::config().MvVersions > 0; }
 
   // Hardware rung (DESIGN.md §3.12): delegate straight to the manager's
   // hardware-mode surface. htmAttempts is sampled from the live config so
@@ -146,8 +144,7 @@ public:
   /// openForRead) transparently restarts as an ordinary writer for the rest
   /// of the call, so the hint is always safe — just wasted when wrong.
   /// Nested inside an existing transaction it flattens like atomic() and
-  /// the hint is ignored. Runs like atomic() when the MVCC tier is compiled
-  /// out or TxConfig.MvVersions is 0.
+  /// the hint is ignored. Runs like atomic() when TxConfig.MvVersions is 0.
   template <typename FnType> static auto atomicReadOnly(FnType &&Fn) {
     return run({.ReadOnly = true}, Fn);
   }

@@ -14,10 +14,13 @@
 #ifndef OTM_STM_TXCONFIG_H
 #define OTM_STM_TXCONFIG_H
 
+#include "support/Compiler.h"
 #include "txn/ContentionManager.h"
 #include "txn/Htm.h"
 
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 
 namespace otm {
 namespace stm {
@@ -46,11 +49,11 @@ struct TxConfig {
   unsigned SerialFallbackAfter = defaultSerialFallbackAfter();
 
   /// Committed versions kept per object for snapshot readers (chain depth
-  /// K). 0 disables version-chain maintenance, which also sends read-only
-  /// transactions back to the validate-scan path. Defaults to the
-  /// OTM_MV_VERSIONS environment variable. Set once at startup: toggling
-  /// while snapshot readers are in flight only costs them refresh restarts,
-  /// but it wastes the chains already built.
+  /// K). 0 is the MVCC tier's one off switch: writers install no history,
+  /// and read-only transactions go back to the validate-scan path.
+  /// Defaults to the OTM_MV_VERSIONS environment variable. Set once at
+  /// startup: toggling while snapshot readers are in flight only costs
+  /// them refresh restarts, but it wastes the chains already built.
   unsigned MvVersions = defaultMvVersions();
 
   /// Hardware (RTM) attempts tried before the software retry ladder — the
@@ -61,24 +64,32 @@ struct TxConfig {
   /// the runtime capability probe found no working RTM on this machine.
   unsigned HtmAttempts = defaultHtmAttempts();
 
+  /// Parses a numeric environment value (null when unset): \p Default
+  /// unless the whole value is a decimal number that fits an unsigned. A
+  /// typo such as "on", "" or "12x" must not read as 0, which turns the
+  /// knob's tier off. Out of line: the parse runs once per process, and
+  /// every config() caller inlines TxConfig's constructor.
+  OTM_NOINLINE static unsigned envCount(const char *E, unsigned Default) {
+    if (!E)
+      return Default;
+    const char *End = E + std::strlen(E);
+    unsigned V = 0;
+    auto [Ptr, Ec] = std::from_chars(E, End, V);
+    return Ec == std::errc() && Ptr == End ? V : Default;
+  }
+
   static unsigned defaultSerialFallbackAfter() {
-    if (const char *E = std::getenv("OTM_RETRY_BUDGET"))
-      return static_cast<unsigned>(std::strtoul(E, nullptr, 10));
-    return 64;
+    return envCount(std::getenv("OTM_RETRY_BUDGET"), 64);
   }
 
   static unsigned defaultMvVersions() {
-    if (const char *E = std::getenv("OTM_MV_VERSIONS"))
-      return static_cast<unsigned>(std::strtoul(E, nullptr, 10));
-    return 8;
+    return envCount(std::getenv("OTM_MV_VERSIONS"), 8);
   }
 
   static unsigned defaultHtmAttempts() {
     if (txn::htm::envDisablesHtm(std::getenv("OTM_HTM")))
       return 0; // kill switch: OTM_HTM=0 forces the software ladder
-    if (const char *E = std::getenv("OTM_HTM_ATTEMPTS"))
-      return static_cast<unsigned>(std::strtoul(E, nullptr, 10));
-    return 8;
+    return envCount(std::getenv("OTM_HTM_ATTEMPTS"), 8);
   }
 };
 

@@ -88,7 +88,6 @@ bool TxManager::validate() {
 }
 
 void TxManager::releaseOwnershipForCommit(uint64_t CommitStamp) {
-#if OTM_MVCC
   // Every object this commit wrote gets the same stamp: snapshot readers
   // compare it against their begin stamp, and it is above each object's
   // previous version, so validation's word compare stays exact.
@@ -96,13 +95,6 @@ void TxManager::releaseOwnershipForCommit(uint64_t CommitStamp) {
   UpdateLog.forEach([NewWord](UpdateEntry &Entry) {
     Entry.Obj->Word.store(NewWord, std::memory_order_release);
   });
-#else
-  (void)CommitStamp;
-  UpdateLog.forEach([](UpdateEntry &Entry) {
-    WordValue NewWord = makeVersion(versionOf(Entry.PrevWord) + 1);
-    Entry.Obj->Word.store(NewWord, std::memory_order_release);
-  });
-#endif
 }
 
 void TxManager::releaseOwnershipForAbort() {
@@ -125,7 +117,6 @@ void TxManager::releaseOwnershipForAbort() {
     });
     return;
   }
-#if OTM_MVCC
   // The pseudo-commit takes its stamp by the same rule as real commits
   // (per-object stamps keep increasing) and installs the same version-chain
   // node: the undo log's pre-images are exactly the values this rollback
@@ -138,12 +129,6 @@ void TxManager::releaseOwnershipForAbort() {
   UpdateLog.forEach([NewWord](UpdateEntry &Entry) {
     Entry.Obj->Word.store(NewWord, std::memory_order_release);
   });
-#else
-  UpdateLog.forEach([](UpdateEntry &Entry) {
-    WordValue NewWord = makeVersion(versionOf(Entry.PrevWord) + 1);
-    Entry.Obj->Word.store(NewWord, std::memory_order_release);
-  });
-#endif
 }
 
 bool TxManager::tryCommit() {
@@ -153,7 +138,6 @@ bool TxManager::tryCommit() {
     return true;
   }
 
-#if OTM_MVCC
   if (OTM_UNLIKELY(SnapshotMode))
     return snapshotCommit();
   // Take the stamp while holding every write ownership and *before*
@@ -162,7 +146,6 @@ bool TxManager::tryCommit() {
   // no smaller. A stamp taken after validation let a snapshot reader see
   // that later writer without this one.
   const uint64_t CommitStamp = UpdateLog.empty() ? 0 : takeWriterStamp();
-#endif
 
   if (OTM_UNLIKELY(!validate())) {
     ++Stats.AbortsOnValidation;
@@ -176,14 +159,10 @@ bool TxManager::tryCommit() {
   // Read-only transactions skip the (out-of-line) release walk entirely.
   if (!UpdateLog.empty()) {
     obs::PhaseScope Ph(Obs.Sampling, &Stats.PhaseWriteBackCycles);
-#if OTM_MVCC
     if (OTM_LIKELY(ActiveConfig.MvVersions > 0))
       installVersions(CommitStamp);
     releaseOwnershipForCommit(CommitStamp);
     LastCommitStamp = CommitStamp;
-#else
-    releaseOwnershipForCommit(0);
-#endif
   }
   ++Stats.Commits;
   Obs.onCommit(0, Stats.CommitTscCycles, Stats.RetriesPerCommit);
@@ -299,10 +278,8 @@ void TxManager::boostAcquireKey(uint64_t ContainerId, uint64_t Key) {
   // hardware region. Boosted operations always take the software tier.
   if (OTM_UNLIKELY(HtmMode))
     txn::htm::abortWith<txn::htm::CodeUnsupported>();
-#if OTM_MVCC
   if (OTM_UNLIKELY(SnapshotMode))
     upgradeToWriter(); // boosted ops mutate in place: not read-only
-#endif
   txn::AbstractLockTable &Table = txn::AbstractLockTable::instance();
   txn::AbstractLockTable::Slot &S = Table.slotFor(ContainerId, Key);
   txn::AbstractLockTable::Gate &G = Table.gateFor(ContainerId);
@@ -384,10 +361,8 @@ void TxManager::boostAcquireStructural(uint64_t ContainerId) {
   assert(inTx() && "boostAcquireStructural outside a transaction");
   if (OTM_UNLIKELY(HtmMode)) // same rule as boostAcquireKey
     txn::htm::abortWith<txn::htm::CodeUnsupported>();
-#if OTM_MVCC
   if (OTM_UNLIKELY(SnapshotMode))
     upgradeToWriter();
-#endif
   txn::AbstractLockTable &Table = txn::AbstractLockTable::instance();
   txn::AbstractLockTable::Gate &G = Table.gateFor(ContainerId);
   if (G.Structural.load(std::memory_order_acquire) == &CmState)
@@ -530,8 +505,6 @@ void TxManager::userAbort() {
   ++Stats.AbortsByUser;
   abortAndThrow(AbortTx::Cause::User);
 }
-
-#if OTM_MVCC
 
 namespace {
 /// MvRecord blocks (nodes included) come from the transaction pool;
@@ -764,8 +737,6 @@ void TxObject::releaseHistory() noexcept {
     Node = Older;
   }
 }
-
-#endif // OTM_MVCC
 
 void TxManager::flushStats() {
   GlobalTxStats::instance().add(Stats);

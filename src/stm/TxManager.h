@@ -121,8 +121,7 @@ public:
   /// Starts a transaction. Nested calls are flattened (subsumption): only
   /// the outermost begin/commit pair does real work. \p Snapshot runs the
   /// attempt on the MVCC snapshot path (DESIGN.md §3.9); the retry layer
-  /// decides it per attempt, so a plain begin() is a writer. Ignored when
-  /// the MVCC tier is compiled out.
+  /// decides it per attempt, so a plain begin() is a writer.
   void begin(bool Snapshot = false) {
     if (Depth++ != 0) {
       ++Stats.SubsumedTx; // flattened nested transaction
@@ -136,13 +135,9 @@ public:
     assert(boostStateEmpty() && "boost state leaked from a previous attempt");
     EPin.pin(); // nested under RetryController's pre-pin on executor paths
     MaxPrevVersion = 0;
-#if OTM_MVCC
     SnapshotMode = Snapshot;
     if (OTM_UNLIKELY(SnapshotMode))
       SnapshotStamp = mv::observeClock();
-#else
-    (void)Snapshot;
-#endif
     ++Stats.Starts;
     Obs.onBegin(0);
   }
@@ -181,13 +176,11 @@ public:
         txn::htm::abortWith<txn::htm::CodeLocked>();
       return;
     }
-#if OTM_MVCC
     // Decomposed opens hand out raw in-place access, which a snapshot
     // cannot honor; only the combined read()/snapshotLoad() barriers are
     // snapshot-safe. Restart as a writer (same rule as openForUpdate).
     if (OTM_UNLIKELY(SnapshotMode))
       upgradeToWriter();
-#endif
     ++Stats.OpensForRead;
     OTM_TRACE_OPEN_EVENT(Obs.Ring, obs::EventKind::OpenForRead, Obj, 0);
     OTM_PHASE_OPEN_SCOPE(Obs.Sampling, Stats.PhaseOpenCycles);
@@ -215,23 +208,20 @@ public:
     // version stamp *speculatively* is what keeps software validation
     // exact — if this region commits, every concurrent software read of
     // the object sees a moved word and fails its equality check; if it
-    // aborts, the store was never visible. Re-opens just restamp (same
-    // clock stamp under MVCC, another per-object bump otherwise — only
-    // equality matters to validators in that mode).
+    // aborts, the store was never visible. Re-opens just restamp with the
+    // same clock stamp.
     if (OTM_UNLIKELY(HtmMode)) {
       ++Stats.OpensForUpdate;
       WordValue W = Obj->Word.load(std::memory_order_acquire);
       if (OTM_UNLIKELY(isOwned(W)))
         txn::htm::abortWith<txn::htm::CodeLocked>();
-      Obj->Word.store(makeVersion(htmStamp(W)), std::memory_order_relaxed);
+      Obj->Word.store(makeVersion(htmStamp()), std::memory_order_relaxed);
       return;
     }
-#if OTM_MVCC
     // Dynamic read-only detection: the first update barrier restarts the
     // attempt as a writer (the paper's upgrade rule lifted to tx level).
     if (OTM_UNLIKELY(SnapshotMode))
       upgradeToWriter();
-#endif
     ++Stats.OpensForUpdate;
     OTM_TRACE_OPEN_EVENT(Obs.Ring, obs::EventKind::OpenForUpdate, Obj, 0);
     OTM_PHASE_OPEN_SCOPE(Obs.Sampling, Stats.PhaseOpenCycles);
@@ -291,10 +281,8 @@ public:
     // (which also unwinds the speculative TxPool bump of the allocation).
     if (OTM_UNLIKELY(HtmMode))
       txn::htm::abortWith<txn::htm::CodeUnsupported>();
-#if OTM_MVCC
     if (OTM_UNLIKELY(SnapshotMode))
       upgradeToWriter(); // allocation is a side effect: not read-only
-#endif
     AllocLog.emplaceBack(static_cast<TxObject *>(Obj),
                          static_cast<void *>(Obj),
                          +[](void *P) { delete static_cast<T *>(P); },
@@ -309,10 +297,8 @@ public:
     assert(inTx() && "retireOnCommit outside a transaction");
     if (OTM_UNLIKELY(HtmMode)) // epoch retirement is a commit side effect
       txn::htm::abortWith<txn::htm::CodeUnsupported>();
-#if OTM_MVCC
     if (OTM_UNLIKELY(SnapshotMode))
       upgradeToWriter(); // deletion is a side effect: not read-only
-#endif
     AllocLog.emplaceBack(static_cast<TxObject *>(Obj),
                          static_cast<void *>(Obj),
                          +[](void *P) { delete static_cast<T *>(P); },
@@ -326,10 +312,8 @@ public:
 
   template <typename ObjType, typename T>
   T read(ObjType *Obj, Field<T> ObjType::*Member) {
-#if OTM_MVCC
     if (OTM_UNLIKELY(SnapshotMode))
       return snapshotLoad(static_cast<TxObject *>(Obj), &(Obj->*Member));
-#endif
     openForRead(Obj);
     return (Obj->*Member).load();
   }
@@ -345,28 +329,17 @@ public:
   // Snapshot (MVCC) read path — see DESIGN.md §3.9
   //===--------------------------------------------------------------------===
 
-  /// True when the MVCC tier is compiled in (-DOTM_MVCC, default on).
-  static constexpr bool mvccEnabled() { return OTM_MVCC != 0; }
+  /// Always true. The MVCC tier is always built; TxConfig::MvVersions = 0
+  /// switches it off at run time. Kept because perfbench's history check
+  /// calls it.
+  static constexpr bool mvccEnabled() { return true; }
 
   /// True while the current attempt runs on the snapshot path.
-  bool inSnapshotMode() const {
-#if OTM_MVCC
-    return Depth > 0 && SnapshotMode;
-#else
-    return false;
-#endif
-  }
+  bool inSnapshotMode() const { return Depth > 0 && SnapshotMode; }
 
-  uint64_t snapshotStampForTesting() const {
-#if OTM_MVCC
-    return SnapshotStamp;
-#else
-    return 0;
-#endif
-  }
+  uint64_t snapshotStampForTesting() const { return SnapshotStamp; }
 
-  /// Stamp of this thread's last writer commit (software or hardware), or
-  /// 0 when the MVCC tier is compiled out.
+  /// Stamp of this thread's last writer commit (software or hardware).
   uint64_t lastCommitStampForTesting() const { return LastCommitStamp; }
 
   /// Snapshot-consistent field read: the in-place value when the object's
@@ -376,7 +349,6 @@ public:
   /// truncated chain). Outside snapshot mode degrades to a plain combined
   /// read barrier.
   template <typename T> T snapshotLoad(TxObject *Obj, Field<T> *F) {
-#if OTM_MVCC
     if (!SnapshotMode) {
       openForRead(Obj);
       return F->load();
@@ -427,10 +399,6 @@ public:
         refreshSnapshot(); // word churn outran T0; a fresh stamp catches up
       cpuRelax();
     }
-#else
-    openForRead(Obj);
-    return F->load();
-#endif
   }
 
   //===--------------------------------------------------------------------===
@@ -505,9 +473,7 @@ public:
   void htmEnter() {
     Depth = 1; // nested atomics flatten off inTx(), same as software
     HtmMode = true;
-#if OTM_MVCC
     HtmStamped = false;
-#endif
     ++Stats.Starts;
     Obs.onBegin(0);
   }
@@ -640,7 +606,6 @@ private:
   void releaseOwnershipForCommit(uint64_t CommitStamp);
   void releaseOwnershipForAbort();
 
-#if OTM_MVCC
   /// Restarts the attempt as a writer (first update barrier in snapshot
   /// mode) / on a fresh snapshot stamp (begin stamp no longer covered by a
   /// version chain). Both unwind via AbortTx; neither counts as an abort.
@@ -687,7 +652,6 @@ private:
   /// counts the clock advance it may make. Call with every write
   /// ownership held.
   uint64_t takeWriterStamp();
-#endif
 
   /// Wraps \p Fn in a TxPool-allocated closure and appends it to \p Log.
   /// The snapshot upgrade happens before the allocation so an upgrade
@@ -697,10 +661,8 @@ private:
     assert(inTx() && "deferred action outside a transaction");
     if (OTM_UNLIKELY(HtmMode)) // deferred handlers need the software logs
       txn::htm::abortWith<txn::htm::CodeUnsupported>();
-#if OTM_MVCC
     if (OTM_UNLIKELY(SnapshotMode))
       upgradeToWriter(); // a deferred handler is a side effect
-#endif
     using Closure = std::decay_t<FnType>;
     void *Payload = support::TxPool::allocate(sizeof(Closure));
     ::new (Payload) Closure(std::forward<FnType>(Fn));
@@ -727,19 +689,15 @@ private:
   }
 
   /// The version stamp a hardware transaction publishes into the STM words
-  /// it writes. Under MVCC every stamp must come from the global commit
+  /// it writes. Every stamp must come from the global commit
   /// clock (snapshot readers order by it), and the clock advance happens
   /// *inside* the speculative region: the RMW joins the transaction, so if
   /// this region survives to commit, no other clock user intervened and
   /// the stamp sits above every stamp published before it. The cost is
   /// that any concurrent clock write (a reader's observation or a software
   /// writer's advance) aborts a speculating hardware writer; E12 prices
-  /// that. Without MVCC, version numbers only feed equality checks, so a
-  /// per-object bump off the previous word suffices and touches no shared
-  /// line.
-  uint64_t htmStamp(WordValue PrevW) {
-#if OTM_MVCC
-    (void)PrevW;
+  /// that.
+  uint64_t htmStamp() {
     if (!HtmStamped) {
       HtmStampVal = mv::advanceClock();
       HtmStamped = true;
@@ -747,9 +705,6 @@ private:
       LastCommitStamp = HtmStampVal; // speculative: kept only if we commit
     }
     return HtmStampVal;
-#else
-    return versionOf(PrevW) + 1;
-#endif
   }
 
   template <typename T> static T fieldFromBits(uint64_t Bits) {
@@ -769,9 +724,7 @@ private:
     ReadFilter.clear();
     UndoFilter.clear();
     Depth = 0;
-#if OTM_MVCC
     SnapshotMode = false;
-#endif
     EPin.unpin();
   }
 
@@ -784,12 +737,10 @@ private:
   bool FilterReadsOn = true;
   bool FilterUndoOn = true;
   bool HtmMode = false; ///< current attempt runs inside a hardware txn
-#if OTM_MVCC
   bool HtmStamped = false;   ///< this hardware attempt drew its clock stamp
   uint64_t HtmStampVal = 0;  ///< ... and this is it
   bool SnapshotMode = false;   ///< current attempt runs validate-free
   uint64_t SnapshotStamp = 0;  ///< largest stamp the snapshot covers
-#endif
   uint64_t MaxPrevVersion = 0;  ///< largest version the update log overwrote
   uint64_t LastCommitStamp = 0; ///< stamp of the last writer commit
 

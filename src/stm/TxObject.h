@@ -10,8 +10,9 @@
 /// both optimistic read versioning and eager update locking (see
 /// stm/StmWord.h for the encoding). The MVCC tier (stm/Mvcc.h) adds two
 /// more: the version-chain head, which snapshot readers follow, and a
-/// writer-only tail word that makes chain truncation O(1). Both compile
-/// out under -DOTM_MVCC=0.
+/// writer-only tail word that makes chain truncation O(1). Both are always
+/// present; with TxConfig::MvVersions = 0 no commit installs history, so
+/// they stay null.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,7 +34,7 @@ namespace stm {
 class TxManager;
 
 /// Base class for transactional objects (the STM word, plus the two MVCC
-/// chain words when that tier is compiled in).
+/// chain words).
 ///
 /// Heap allocation is routed through the per-thread transaction pool
 /// (support/TxPool.h): every `new`/`delete` of a TxObject-derived type —
@@ -46,7 +47,6 @@ public:
   TxObject() : Word(makeVersion(0)) {}
   TxObject(const TxObject &) = delete;
   TxObject &operator=(const TxObject &) = delete;
-#if OTM_MVCC
   /// Version-chain teardown. By the time an object is destroyed (always
   /// after an epoch grace period when it was shared) no snapshot reader can
   /// reach its chain head anymore. Each node lives inside its commit's
@@ -57,7 +57,6 @@ public:
     if (Hist.load(std::memory_order_relaxed))
       releaseHistory();
   }
-#endif
 
   static void *operator new(std::size_t Size) {
     return support::TxPool::allocate(Size);
@@ -95,25 +94,20 @@ public:
     return isOwned(Word.load(std::memory_order_acquire));
   }
 
-  /// Length of this object's version chain (0 when the MVCC tier is
-  /// compiled out or no versioned commit has touched the object yet).
+  /// Length of this object's version chain (0 when history is off or no
+  /// versioned commit has touched the object yet).
   /// Testing only: racy against concurrent committers.
   std::size_t historyDepthForTesting() const {
-#if OTM_MVCC
     std::size_t N = 0;
     for (const mv::MvNode *Node = Hist.load(std::memory_order_acquire); Node;
          Node = Node->Older.load(std::memory_order_acquire))
       ++N;
     return N;
-#else
-    return 0;
-#endif
   }
 
 private:
   friend class TxManager;
   std::atomic<WordValue> Word;
-#if OTM_MVCC
   /// Head of the committed-version chain (newest first). Mutated only by
   /// the transaction holding update ownership of this object; read
   /// concurrently by snapshot readers.
@@ -126,7 +120,6 @@ private:
 
   /// Out of line (TxManager.cpp): releases the chain at destruction.
   void releaseHistory() noexcept;
-#endif
 };
 
 } // namespace stm

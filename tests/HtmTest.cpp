@@ -158,6 +158,39 @@ TEST(HtmProbe, OnlyZeroOrOffDisablesTheTier) {
   EXPECT_FALSE(txn::htm::envDisablesHtm(nullptr)); // unset
 }
 
+TEST(TxConfigEnv, OnlyDecimalValuesOverrideTheDefaults) {
+  // The numeric knobs keep their default unless the whole value is a
+  // decimal number: "on", an empty value or a typo must not read as 0,
+  // which turns the snapshot tier, the serial fallback or HTM off.
+  EnvGuard Mv("OTM_MV_VERSIONS"), Budget("OTM_RETRY_BUDGET"), Htm("OTM_HTM"),
+      Attempts("OTM_HTM_ATTEMPTS");
+  unsetenv("OTM_HTM");
+  struct Case {
+    const char *Value; // null: unset
+    int Parsed;        // -1: the default stands
+  };
+  for (const Case &C :
+       {Case{"0", 0}, Case{"8", 8}, Case{"on", -1}, Case{"", -1},
+        Case{nullptr, -1}, Case{"12x", -1}, Case{"4294967296", -1}}) {
+    auto Want = [&](unsigned Default) {
+      return C.Parsed < 0 ? Default : unsigned(C.Parsed);
+    };
+    const std::string Label =
+        C.Value ? "'" + std::string(C.Value) + "'" : "unset";
+    EXPECT_EQ(TxConfig::envCount(C.Value, 5), Want(5)) << Label;
+    for (const char *Name :
+         {"OTM_MV_VERSIONS", "OTM_RETRY_BUDGET", "OTM_HTM_ATTEMPTS"}) {
+      if (C.Value)
+        setenv(Name, C.Value, 1);
+      else
+        unsetenv(Name);
+    }
+    EXPECT_EQ(TxConfig::defaultMvVersions(), Want(8)) << Label;
+    EXPECT_EQ(TxConfig::defaultSerialFallbackAfter(), Want(64)) << Label;
+    EXPECT_EQ(TxConfig::defaultHtmAttempts(), Want(8)) << Label;
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Ladder behaviour
 //===----------------------------------------------------------------------===//

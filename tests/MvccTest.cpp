@@ -11,15 +11,16 @@
 /// reclamation through the epoch manager, and the serial-gate bypass that
 /// keeps snapshot readers running while a writer holds the gate.
 ///
-/// Every behavioural test skips itself when the tier is compiled out
-/// (-DOTM_MVCC=0); the suite still links and passes there, proving the
-/// legacy path is schema-complete.
+/// Each test sets the history depth it needs, so the suite passes whatever
+/// OTM_MV_VERSIONS holds; the last one checks that depth 0, the tier's off
+/// switch, falls back to the validate path with the schema intact.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "stm/Stm.h"
 
 #include "gc/EpochManager.h"
+#include "stm/StatsJson.h"
 #include "stm/TxGlobal.h"
 #include "support/Random.h"
 #include "support/ThreadBarrier.h"
@@ -53,6 +54,14 @@ struct ConfigGuard {
   TxConfig Saved;
 };
 
+/// Every test starts at the default history depth of 8, whatever
+/// OTM_MV_VERSIONS holds, and gets the whole config back afterwards.
+class Mvcc : public ::testing::Test {
+protected:
+  Mvcc() { TxManager::config().MvVersions = 8; }
+  ConfigGuard Guard;
+};
+
 /// Discards the calling thread's unflushed stats into the global block and
 /// zeroes it, so the test's assertions see only its own traffic.
 void resetStats() {
@@ -78,9 +87,7 @@ template <typename PredType> bool spinUntil(PredType Pred) {
 
 } // namespace
 
-TEST(Mvcc, QuiescentSnapshotReadCommitsWithoutAbort) {
-  if (!TxManager::mvccEnabled())
-    GTEST_SKIP() << "built with OTM_MVCC=0";
+TEST_F(Mvcc, QuiescentSnapshotReadCommitsWithoutAbort) {
   Counter C;
   Stm::atomic([&](TxManager &Tx) { Tx.write(&C, &Counter::Value, int64_t{7}); });
   resetStats();
@@ -104,9 +111,7 @@ TEST(Mvcc, QuiescentSnapshotReadCommitsWithoutAbort) {
   EXPECT_EQ(S.ReadLogAppends, 0u);
 }
 
-TEST(Mvcc, SnapshotSeesBeginStampStateAcrossWriterCommit) {
-  if (!TxManager::mvccEnabled())
-    GTEST_SKIP() << "built with OTM_MVCC=0";
+TEST_F(Mvcc, SnapshotSeesBeginStampStateAcrossWriterCommit) {
   Counter X, Y;
   Stm::atomic([&](TxManager &Tx) {
     Tx.write(&X, &Counter::Value, int64_t{100});
@@ -157,9 +162,7 @@ TEST(Mvcc, SnapshotSeesBeginStampStateAcrossWriterCommit) {
   EXPECT_EQ(Fy, 201);
 }
 
-TEST(Mvcc, DynamicUpgradeRestartsAsWriterWithoutCountingAnAbort) {
-  if (!TxManager::mvccEnabled())
-    GTEST_SKIP() << "built with OTM_MVCC=0";
+TEST_F(Mvcc, DynamicUpgradeRestartsAsWriterWithoutCountingAnAbort) {
   Counter C;
   resetStats();
   int Attempts = 0;
@@ -191,9 +194,7 @@ TEST(Mvcc, DynamicUpgradeRestartsAsWriterWithoutCountingAnAbort) {
   EXPECT_EQ(S2.SnapshotCommits, 1u);
 }
 
-TEST(Mvcc, PerCallModeDoesNotLeakPastAFailedCall) {
-  if (!TxManager::mvccEnabled())
-    GTEST_SKIP() << "built with OTM_MVCC=0";
+TEST_F(Mvcc, PerCallModeDoesNotLeakPastAFailedCall) {
   Counter C;
   struct Boom {};
   // A read-only call that upgrades to a writer and then ends without
@@ -234,10 +235,7 @@ TEST(Mvcc, PerCallModeDoesNotLeakPastAFailedCall) {
   }
 }
 
-TEST(Mvcc, ChainTruncatesAtConfiguredDepth) {
-  if (!TxManager::mvccEnabled())
-    GTEST_SKIP() << "built with OTM_MVCC=0";
-  ConfigGuard Guard;
+TEST_F(Mvcc, ChainTruncatesAtConfiguredDepth) {
   TxManager::config().MvVersions = 3;
   Counter C;
   resetStats();
@@ -317,10 +315,7 @@ void abortedWrite(Counter &C) {
 
 } // namespace
 
-TEST(Mvcc, WritersWithoutASnapshotReaderLeaveTheClockAlone) {
-  if (!TxManager::mvccEnabled())
-    GTEST_SKIP() << "built with OTM_MVCC=0";
-  ConfigGuard Guard;
+TEST_F(Mvcc, WritersWithoutASnapshotReaderLeaveTheClockAlone) {
   TxManager::config().HtmAttempts = 0;
   settleClock();
   Counter A, B;
@@ -342,10 +337,7 @@ TEST(Mvcc, WritersWithoutASnapshotReaderLeaveTheClockAlone) {
   EXPECT_EQ(statsNow().MvClockAdvances, 0u);
 }
 
-TEST(Mvcc, ASnapshotReaderMovesTheNextWriterPastItsStamp) {
-  if (!TxManager::mvccEnabled())
-    GTEST_SKIP() << "built with OTM_MVCC=0";
-  ConfigGuard Guard;
+TEST_F(Mvcc, ASnapshotReaderMovesTheNextWriterPastItsStamp) {
   TxManager::config().HtmAttempts = 0;
   settleClock();
   Counter C;
@@ -376,10 +368,7 @@ TEST(Mvcc, ASnapshotReaderMovesTheNextWriterPastItsStamp) {
   EXPECT_EQ(Got, 3);
 }
 
-TEST(Mvcc, SpentSequenceSpaceAdvancesTheClock) {
-  if (!TxManager::mvccEnabled())
-    GTEST_SKIP() << "built with OTM_MVCC=0";
-  ConfigGuard Guard;
+TEST_F(Mvcc, SpentSequenceSpaceAdvancesTheClock) {
   TxManager::config().HtmAttempts = 0;
   TxManager::config().MvVersions = 1; // keep 2^16 commits cheap
   settleClock();
@@ -402,10 +391,7 @@ TEST(Mvcc, SpentSequenceSpaceAdvancesTheClock) {
   EXPECT_EQ(statsNow().MvClockAdvances, 1u);
 }
 
-TEST(Mvcc, AbortReleasesTakeStampsByTheWriterRule) {
-  if (!TxManager::mvccEnabled())
-    GTEST_SKIP() << "built with OTM_MVCC=0";
-  ConfigGuard Guard;
+TEST_F(Mvcc, AbortReleasesTakeStampsByTheWriterRule) {
   TxManager::config().HtmAttempts = 0; // the abort must run in software
   settleClock();
   Counter C;
@@ -429,10 +415,7 @@ TEST(Mvcc, AbortReleasesTakeStampsByTheWriterRule) {
   EXPECT_EQ(S.MvClockAdvances, 1u);
 }
 
-TEST(Mvcc, TruncationIsExactAtDepthsOneTwoAndEight) {
-  if (!TxManager::mvccEnabled())
-    GTEST_SKIP() << "built with OTM_MVCC=0";
-  ConfigGuard Guard;
+TEST_F(Mvcc, TruncationIsExactAtDepthsOneTwoAndEight) {
   for (unsigned K : {1u, 2u, 8u}) {
     Counter C;
     resetStats();
@@ -443,10 +426,7 @@ TEST(Mvcc, TruncationIsExactAtDepthsOneTwoAndEight) {
   }
 }
 
-TEST(Mvcc, DepthChangesMidObjectResyncTheChain) {
-  if (!TxManager::mvccEnabled())
-    GTEST_SKIP() << "built with OTM_MVCC=0";
-  ConfigGuard Guard;
+TEST_F(Mvcc, DepthChangesMidObjectResyncTheChain) {
   Counter C;
   resetStats();
   std::size_t Depth = commitAndCheck(C, 8, 10, 0); // full at 8
@@ -465,10 +445,7 @@ TEST(Mvcc, DepthChangesMidObjectResyncTheChain) {
   EXPECT_EQ(S.MvVersionsInstalled - S.MvVersionsRetired, Depth);
 }
 
-TEST(Mvcc, DepthsPastTheTagBitsFallBackToTheWalk) {
-  if (!TxManager::mvccEnabled())
-    GTEST_SKIP() << "built with OTM_MVCC=0";
-  ConfigGuard Guard;
+TEST_F(Mvcc, DepthsPastTheTagBitsFallBackToTheWalk) {
   for (unsigned K : {16u, 17u, 40u}) {
     Counter C;
     resetStats();
@@ -481,10 +458,7 @@ TEST(Mvcc, DepthsPastTheTagBitsFallBackToTheWalk) {
   }
 }
 
-TEST(Mvcc, AbortIdentityCommitsInstallAndTruncateLikeCommits) {
-  if (!TxManager::mvccEnabled())
-    GTEST_SKIP() << "built with OTM_MVCC=0";
-  ConfigGuard Guard;
+TEST_F(Mvcc, AbortIdentityCommitsInstallAndTruncateLikeCommits) {
   TxManager::config().MvVersions = 2;
   TxManager::config().HtmAttempts = 0; // the abort must run in software
   Counter C;
@@ -508,10 +482,7 @@ TEST(Mvcc, AbortIdentityCommitsInstallAndTruncateLikeCommits) {
   EXPECT_EQ(S.MvVersionsRetired, 3u);
 }
 
-TEST(Mvcc, DestroyingPartlyAndFullyGrownChainsFreesEverything) {
-  if (!TxManager::mvccEnabled())
-    GTEST_SKIP() << "built with OTM_MVCC=0";
-  ConfigGuard Guard;
+TEST_F(Mvcc, DestroyingPartlyAndFullyGrownChainsFreesEverything) {
   TxManager::config().MvVersions = 4;
   gc::EpochManager &EM = gc::EpochManager::global();
   EM.drainForTesting();
@@ -540,10 +511,7 @@ TEST(Mvcc, DestroyingPartlyAndFullyGrownChainsFreesEverything) {
   EXPECT_EQ(EM.freedCount() - Freed0, 4u + 10u);
 }
 
-TEST(Mvcc, RecordRetiredOnceWhenLastNodeCut) {
-  if (!TxManager::mvccEnabled())
-    GTEST_SKIP() << "built with OTM_MVCC=0";
-  ConfigGuard Guard;
+TEST_F(Mvcc, RecordRetiredOnceWhenLastNodeCut) {
   TxManager::config().MvVersions = 1;
   gc::EpochManager &EM = gc::EpochManager::global();
   auto *A = new Counter();
@@ -571,10 +539,7 @@ TEST(Mvcc, RecordRetiredOnceWhenLastNodeCut) {
   EXPECT_EQ(EM.freedCount() - Freed0, 3u);
 }
 
-TEST(Mvcc, TruncatedChainRefreshesInsteadOfServingTooNewState) {
-  if (!TxManager::mvccEnabled())
-    GTEST_SKIP() << "built with OTM_MVCC=0";
-  ConfigGuard Guard;
+TEST_F(Mvcc, TruncatedChainRefreshesInsteadOfServingTooNewState) {
   TxManager::config().MvVersions = 1; // keep only the newest pre-image
   Counter C;
   Stm::atomic([&](TxManager &Tx) { Tx.write(&C, &Counter::Value, int64_t{1}); });
@@ -618,10 +583,7 @@ TEST(Mvcc, TruncatedChainRefreshesInsteadOfServingTooNewState) {
   EXPECT_EQ(S.Aborts, 0u); // refreshes are restarts, never aborts
 }
 
-TEST(Mvcc, VersionsAreReclaimedThroughTheEpochManager) {
-  if (!TxManager::mvccEnabled())
-    GTEST_SKIP() << "built with OTM_MVCC=0";
-  ConfigGuard Guard;
+TEST_F(Mvcc, VersionsAreReclaimedThroughTheEpochManager) {
   TxManager::config().MvVersions = 2;
   resetStats();
   gc::EpochManager &EM = gc::EpochManager::global();
@@ -647,9 +609,7 @@ TEST(Mvcc, VersionsAreReclaimedThroughTheEpochManager) {
   EXPECT_EQ(EM.freedCount() - Freed0, 60u);
 }
 
-TEST(Mvcc, SnapshotReadersRunWhileSerialGateIsHeld) {
-  if (!TxManager::mvccEnabled())
-    GTEST_SKIP() << "built with OTM_MVCC=0";
+TEST_F(Mvcc, SnapshotReadersRunWhileSerialGateIsHeld) {
   Counter C;
   Stm::atomic([&](TxManager &Tx) { Tx.write(&C, &Counter::Value, int64_t{5}); });
   resetStats();
@@ -679,9 +639,7 @@ TEST(Mvcc, SnapshotReadersRunWhileSerialGateIsHeld) {
   EXPECT_EQ(S.Aborts, 0u);
 }
 
-TEST(Mvcc, TxGlobalReadsResolveAgainstTheSnapshot) {
-  if (!TxManager::mvccEnabled())
-    GTEST_SKIP() << "built with OTM_MVCC=0";
+TEST_F(Mvcc, TxGlobalReadsResolveAgainstTheSnapshot) {
   TxGlobal<int64_t> G(41);
   Stm::atomic([&](TxManager &Tx) { G.set(Tx, 42); });
   resetStats();
@@ -771,44 +729,43 @@ void checkSnapshotSumsUnderChurn(unsigned K) {
 
 } // namespace
 
-TEST(Mvcc, SnapshotSumsStayConsistentUnderWriterChurn) {
-  if (!TxManager::mvccEnabled())
-    GTEST_SKIP() << "built with OTM_MVCC=0";
-  checkSnapshotSumsUnderChurn(TxManager::config().MvVersions);
+TEST_F(Mvcc, SnapshotSumsStayConsistentUnderWriterChurn) {
+  checkSnapshotSumsUnderChurn(8);
 }
 
-TEST(Mvcc, SnapshotSumsStayConsistentAtDepthOne) {
-  if (!TxManager::mvccEnabled())
-    GTEST_SKIP() << "built with OTM_MVCC=0";
-  ConfigGuard Guard;
+TEST_F(Mvcc, SnapshotSumsStayConsistentAtDepthOne) {
   TxManager::config().MvVersions = 1; // every install cuts the old head
   checkSnapshotSumsUnderChurn(1);
 }
 
-TEST(Mvcc, SnapshotSumsStayConsistentAtDepthTwo) {
-  if (!TxManager::mvccEnabled())
-    GTEST_SKIP() << "built with OTM_MVCC=0";
-  ConfigGuard Guard;
+TEST_F(Mvcc, SnapshotSumsStayConsistentAtDepthTwo) {
   TxManager::config().MvVersions = 2;
   checkSnapshotSumsUnderChurn(2);
 }
 
-TEST(Mvcc, SchemaStaysCompleteWhenCompiledOut) {
-  // Runs in every build: the MVCC counters exist (and stay zero when the
-  // tier is off), so BENCH json and telemetry schemas never fork.
+TEST_F(Mvcc, HistoryOffFallsBackToTheValidatePath) {
+  // MvVersions = 0 switches the tier off at run time: writers install no
+  // history, atomicReadOnly runs on the validate path, and the counters
+  // and schema keys stay, so BENCH json and telemetry never fork.
+  TxManager::config().MvVersions = 0;
+  Counter C;
+  resetStats();
+  commitWrite(C, 7);
+  EXPECT_EQ(C.historyDepthForTesting(), 0u);
+  int64_t Got = -1;
+  Stm::atomicReadOnly([&](TxManager &Tx) {
+    EXPECT_FALSE(Tx.inSnapshotMode());
+    Got = Tx.read(&C, &Counter::Value);
+  });
+  EXPECT_EQ(Got, 7);
   TxStats S = statsNow();
-  if (!TxManager::mvccEnabled()) {
-    EXPECT_EQ(S.SnapshotCommits, 0u);
-    EXPECT_EQ(S.MvVersionsInstalled, 0u);
-    Counter C;
-    EXPECT_EQ(C.historyDepthForTesting(), 0u);
-    int64_t Got = -1;
-    // atomicReadOnly degrades to the validate path and still works.
-    Stm::atomicReadOnly([&](TxManager &Tx) {
-      EXPECT_FALSE(Tx.inSnapshotMode());
-      Got = Tx.read(&C, &Counter::Value);
-    });
-    EXPECT_EQ(Got, 0);
-  }
-  SUCCEED();
+  EXPECT_EQ(S.Commits, 2u);
+  EXPECT_EQ(S.SnapshotCommits, 0u);
+  EXPECT_EQ(S.MvVersionsInstalled, 0u);
+  obs::JsonValue J = mvccStatsToJson(S);
+  ASSERT_NE(J.get("enabled"), nullptr);
+  EXPECT_FALSE(J.get("enabled")->asBool());
+  EXPECT_EQ(J.get("snapshot_commits")->asUInt(), 0u);
+  TxManager::config().MvVersions = 8;
+  EXPECT_TRUE(mvccStatsToJson(S).get("enabled")->asBool());
 }

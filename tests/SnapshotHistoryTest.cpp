@@ -251,14 +251,12 @@ void runHistory() {
 } // namespace
 
 TEST(SnapshotHistory, WritersAndSnapshotReadersAgreeOnTheClock) {
-  if (!TxManager::mvccEnabled())
-    GTEST_SKIP() << "built with OTM_MVCC=0";
+  ConfigGuard Guard;
+  TxManager::config().MvVersions = 8; // whatever OTM_MV_VERSIONS holds
   runHistory();
 }
 
 TEST(SnapshotHistory, AgreeOnTheClockAtDepthOne) {
-  if (!TxManager::mvccEnabled())
-    GTEST_SKIP() << "built with OTM_MVCC=0";
   ConfigGuard Guard;
   TxManager::config().MvVersions = 1; // most stale snapshots must refresh
   runHistory();

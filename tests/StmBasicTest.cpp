@@ -148,12 +148,9 @@ TEST(StmBasic, CommitInstallsOneNewVersionPerObject) {
     Tx.write(&P, &Point::X, int64_t{1});
     Tx.write(&P, &Point::Y, int64_t{2}); // same object: one update entry
   });
-  // With the MVCC tier the new version is a global commit stamp (strictly
-  // greater, not +1); without it, the per-object counter bumps by one.
+  // The new version is a global commit stamp: strictly greater, not +1.
   uint64_t V1 = P.versionForTesting();
   EXPECT_GT(V1, V0);
-  if (!TxManager::mvccEnabled())
-    EXPECT_EQ(V1, V0 + 1);
   // A second commit to the same object installs exactly one newer version.
   Stm::atomic([&](TxManager &Tx) { Tx.write(&P, &Point::X, int64_t{3}); });
   EXPECT_GT(P.versionForTesting(), V1);
@@ -325,15 +322,16 @@ TEST(StmBasic, RetireOnCommitFreesOnlyOnCommit) {
   EXPECT_EQ(EM.freedCount(), Freed0) << "abort must keep the object";
   EXPECT_EQ(Kept->X.load(), 0);
 
-  // Commit path: object must be retired and eventually freed. With the
-  // MVCC tier the committing update also installs a version record that
-  // the object's destructor retires, so one extra block is freed.
+  // Commit path: object must be retired and eventually freed. While
+  // history is kept, the committing update also installs a version record
+  // that the object's destructor retires, so one extra block is freed.
   Stm::atomic([&](TxManager &Tx) {
     Tx.openForUpdate(Kept);
     Tx.retireOnCommit(Kept);
   });
   EM.drainForTesting();
-  EXPECT_EQ(EM.freedCount(), Freed0 + (TxManager::mvccEnabled() ? 2 : 1));
+  EXPECT_EQ(EM.freedCount(),
+            Freed0 + (TxManager::config().MvVersions > 0 ? 2 : 1));
 }
 
 TEST(StmBasic, TxGlobalRoundTrip) {
