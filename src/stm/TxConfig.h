@@ -32,11 +32,7 @@ struct TxConfig {
   /// Filter duplicate undo-log entries with a per-transaction hash set.
   bool FilterUndo = true;
 
-  /// Spin iterations on an open-for-update / open-for-read ownership
-  /// conflict before aborting the attacker.
-  unsigned ConflictSpins = 128;
-
-  /// Contention-management policy consulted at ownership conflicts and
+  /// Contention-management policy consulted in every txn::ConflictWait and
   /// between retry attempts (both STMs and the interpreter). Defaults to
   /// the OTM_CM environment variable (passive|backoff|karma|greedy),
   /// falling back to backoff — the pre-txn-layer behaviour.

@@ -592,9 +592,14 @@ private:
   /// Creates and registers this thread's manager (first use only).
   static TxManager &currentSlow();
 
-  /// Spins while \p Obj is owned by another transaction; returns the
-  /// unowned word, or aborts this transaction after the spin budget.
+  /// Waits (txn::ConflictWait) while \p Obj is owned by another
+  /// transaction; returns the unowned word, or aborts this transaction
+  /// when the contention manager gives up.
   WordValue waitForUnowned(TxObject *Obj);
+
+  /// Lost a conflict over \p Resource (object, key slot or gate) held by
+  /// \p OwnerSite (0 if unknown): count, attribute and throw.
+  [[noreturn]] void abortOnConflict(const void *Resource, uint32_t OwnerSite);
 
   /// Attributes the first invalid read-log entry (called on the abort
   /// path, so scanning the log again is fine).

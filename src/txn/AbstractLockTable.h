@@ -12,12 +12,6 @@
 /// conflict exactly when their *operations* don't commute — not when they
 /// happen to touch shared structure (bucket heads, tree spines).
 ///
-/// The table provides only the primitives (single CAS attempts, release,
-/// occupancy); the wait/abort protocol lives in stm::TxManager, where a
-/// semantic conflict is arbitrated by the same pluggable ContentionManagers
-/// that handle structural ownership conflicts. Slot owners are identified by
-/// their txn::CmTxState so this layer never needs to know about TxManager.
-///
 /// Each container also maps to a *gate* that arbitrates between semantic
 /// operations and whole-container structural ones (sumValues-style
 /// traversals, and any future resize/rebalance that can't express a per-key
@@ -25,6 +19,11 @@
 ///
 ///   semantic:   ActiveSemantic++  ;  if (Structural owned) back off
 ///   structural: CAS Structural    ;  wait until ActiveSemantic drains
+///
+/// The table owns both halves as single attempts: tryAcquireKey (semantic)
+/// and tryClaimStructural + drainedTo (structural). stm::TxManager waits
+/// between attempts in a txn::ConflictWait, exactly as on an ownership
+/// conflict. Owners are CmTxStates, so this layer never sees TxManager.
 ///
 /// A semantic holder keeps its ActiveSemantic contribution until the lock is
 /// released at commit/abort — after its undo handlers ran — so a structural
@@ -76,6 +75,11 @@ public:
     Slot *S = nullptr;
     Gate *G = nullptr;
     bool Structural = false;
+
+    /// True for a key lock under \p Of (one that counts in Of's drain).
+    bool isKeyLockUnder(const Gate &Of) const {
+      return !Structural && G == &Of;
+    }
   };
 
   enum class Acquire : uint8_t { Acquired, AlreadyHeld, Busy };
@@ -103,11 +107,19 @@ public:
     return Gates[mix(ContainerId) & (NumGates - 1)];
   }
 
-  /// Single CAS attempt on a key slot. On Busy, \p OwnerOut carries the
-  /// current holder for contention-manager arbitration. The caller must
-  /// already hold an ActiveSemantic claim on the slot's gate; an Acquired
-  /// result transfers that claim to the lock (released in release()).
-  Acquire tryAcquire(Slot &S, CmTxState *Self, CmTxState *&OwnerOut) {
+  /// Semantic side of the handshake, then one CAS on the key slot. On
+  /// Acquired the ActiveSemantic claim passes to the lock (dropped in
+  /// release()); on Busy, \p BlockerOut is the gate's structural owner or
+  /// the slot's holder, for contention-manager arbitration.
+  Acquire tryAcquireKey(Slot &S, Gate &G, CmTxState *Self,
+                        CmTxState *&BlockerOut) {
+    if ((BlockerOut = structuralRival(G, Self)))
+      return Acquire::Busy;
+    G.ActiveSemantic.fetch_add(1, std::memory_order_seq_cst); // then recheck
+    if ((BlockerOut = structuralRival(G, Self))) {
+      G.ActiveSemantic.fetch_sub(1, std::memory_order_seq_cst);
+      return Acquire::Busy;
+    }
     CmTxState *Expected = nullptr;
     if (S.Owner.compare_exchange_strong(Expected, Self,
                                         std::memory_order_seq_cst,
@@ -115,15 +127,22 @@ public:
       Held.fetch_add(1, std::memory_order_relaxed);
       return Acquire::Acquired;
     }
+    G.ActiveSemantic.fetch_sub(1, std::memory_order_seq_cst);
     if (Expected == Self)
-      return Acquire::AlreadyHeld;
-    OwnerOut = Expected;
+      return Acquire::AlreadyHeld; // same key, or a slot collision
+    BlockerOut = Expected;
     return Acquire::Busy;
   }
 
+  /// True when \p Self holds \p G structurally, which subsumes every key
+  /// lock under it (newcomers back off on the gate before any slot).
+  static bool holdsStructural(const Gate &G, const CmTxState *Self) {
+    return G.Structural.load(std::memory_order_acquire) == Self;
+  }
+
   /// Single CAS attempt on a gate's structural side. Claiming the gate does
-  /// NOT yet exclude semantic holders — the caller must drain
-  /// ActiveSemantic down to its own contribution before touching structure.
+  /// NOT yet exclude semantic holders — the caller must wait for drainedTo
+  /// before touching structure.
   bool tryClaimStructural(Gate &G, CmTxState *Self, CmTxState *&OwnerOut) {
     CmTxState *Expected = nullptr;
     if (G.Structural.compare_exchange_strong(Expected, Self,
@@ -134,6 +153,12 @@ public:
     }
     OwnerOut = Expected;
     return false;
+  }
+
+  /// Structural side of the handshake, after tryClaimStructural: true once
+  /// the key locks under \p G are down to \p OwnKeyLocks, the claimant's own.
+  static bool drainedTo(const Gate &G, uint32_t OwnKeyLocks) {
+    return G.ActiveSemantic.load(std::memory_order_seq_cst) <= OwnKeyLocks;
   }
 
   void release(const LockRef &R, CmTxState *Self) {
@@ -158,6 +183,12 @@ public:
 private:
   AbstractLockTable()
       : Slots(new Slot[NumSlots]), Gates(new Gate[NumGates]) {}
+
+  /// The gate's structural owner unless that is \p Self (or nobody).
+  static CmTxState *structuralRival(const Gate &G, const CmTxState *Self) {
+    CmTxState *Owner = G.Structural.load(std::memory_order_seq_cst);
+    return Owner == Self ? nullptr : Owner;
+  }
 
   /// 64-bit finalizer (murmur3-style) so sequential keys spread over slots.
   static uint64_t mix(uint64_t X) {

@@ -7,9 +7,11 @@
 #include "txn/ContentionManager.h"
 
 #include "support/Compiler.h"
+#include "txn/CmStats.h"
 
 #include <cstdlib>
 #include <cstring>
+#include <thread>
 
 using namespace otm;
 using namespace otm::txn;
@@ -125,6 +127,37 @@ const GreedyCm GreedyInst;
 
 const ContentionManager *const otm::txn::detail::CmTable[NumCmPolicies] = {
     &PassiveInst, &BackoffInst, &KarmaInst, &GreedyInst};
+
+void ConflictWait::pause() {
+  for (unsigned Spin = 0; Spin < RoundSpins - 1; ++Spin)
+    cpuRelax();
+  std::this_thread::yield(); // crucial on oversubscribed machines
+  ++Rounds;
+}
+
+bool ConflictWait::waitRound(const CmTxState &Owner) {
+  CmStats &Stats = CmStats::instance();
+  if (K == Semantic && Rounds == 0)
+    Stats.bumpSemanticWaits();
+  ConflictChoice Choice = CM.onConflict(Us, Owner, Rounds, BudgetRounds);
+  if (Choice == ConflictChoice::Wait) {
+    if (K == Ownership && Rounds == 0)
+      Stats.bumpConflictWaits();
+    pause();
+    return true;
+  }
+  if (Choice == ConflictChoice::AbortSelfPriority)
+    K == Semantic ? Stats.bumpSemanticPriorityAborts()
+                  : Stats.bumpPriorityAborts();
+  return false;
+}
+
+bool ConflictWait::waitRound() {
+  if (Rounds >= BudgetRounds)
+    return false;
+  pause();
+  return true;
+}
 
 const char *otm::txn::policyName(CmPolicy P) {
   return managerFor(P).name();

@@ -113,8 +113,8 @@ public:
   virtual const char *name() const = 0;
 
   /// Arbitrates one wait round of an open/lock conflict. \p Round counts
-  /// completed wait rounds on this conflict (each ~32 spins at the call
-  /// site); \p BudgetRounds is the configured spin budget in rounds.
+  /// completed wait rounds on this conflict (see ConflictWait);
+  /// \p BudgetRounds is the base wait budget in rounds.
   virtual ConflictChoice onConflict(const CmTxState &Us,
                                     const CmTxState &Owner, unsigned Round,
                                     unsigned BudgetRounds) const = 0;
@@ -141,6 +141,49 @@ extern const ContentionManager *const CmTable[NumCmPolicies];
 inline const ContentionManager &managerFor(CmPolicy P) {
   return *detail::CmTable[static_cast<unsigned>(P)];
 }
+
+/// The one conflict-wait loop: an attacker's wait on one held resource (an
+/// object or stripe owner, an abstract key lock, a structural gate). Each
+/// round consults the policy once and, if it says wait, spins
+/// RoundSpins - 1 times and yields once. Callers retry the resource between
+/// rounds and keep what differs: their per-thread stats, the abort-site key
+/// and rollback. Slow path only, so the rounds run out of line.
+class ConflictWait {
+public:
+  /// Which CmStats family a conflict counts in.
+  enum Kind : uint8_t {
+    Ownership, ///< object or stripe owner: ConflictWaits, PriorityAborts
+    Semantic,  ///< abstract lock or gate: SemanticWaits, SemanticPriorityAborts
+  };
+
+  static constexpr unsigned RoundSpins = 32;
+  /// Rounds the backoff policy waits (karma and greedy scale it).
+  static constexpr unsigned BudgetRounds = 4;
+
+  ConflictWait(CmPolicy P, const CmTxState &Us, Kind K)
+      : CM(managerFor(P)), Us(Us), K(K) {}
+
+  /// Arbitrates one round against \p Owner: true after waiting it out
+  /// (retry the resource), false when the attacker must abort. Ownership
+  /// counts a ConflictWait the first time the policy waits; Semantic counts
+  /// a SemanticWait per conflict, whatever the policy decides.
+  bool waitRound(const CmTxState &Owner);
+
+  /// A round with no single owner to arbitrate with: waits while the
+  /// budget lasts, consults no policy, counts nothing.
+  bool waitRound();
+
+  /// Rounds waited so far on this conflict.
+  unsigned rounds() const { return Rounds; }
+
+private:
+  void pause();
+
+  const ContentionManager &CM;
+  const CmTxState &Us;
+  unsigned Rounds = 0;
+  const Kind K;
+};
 
 /// Short lowercase name ("passive", "backoff", "karma", "greedy").
 const char *policyName(CmPolicy P);

@@ -7,10 +7,8 @@
 #include "wstm/WordStm.h"
 
 #include "support/Compiler.h"
-#include "txn/CmStats.h"
 
 #include <algorithm>
-#include <thread>
 
 using namespace otm;
 using namespace otm::wstm;
@@ -63,16 +61,6 @@ bool WTxManager::tryCommit() {
   LockOrder.erase(std::unique(LockOrder.begin(), LockOrder.end()),
                   LockOrder.end());
 
-  // Stripe-lock arbitration is delegated to the configured contention
-  // manager, exactly like the object STM's waitForUnowned: one decision per
-  // wait round of ~32 spins, with the round budget derived from
-  // ConflictSpins (default 128 == the old fixed spin count here).
-  const txn::ContentionManager &CM =
-      txn::managerFor(ActiveConfig.ContentionPolicy);
-  constexpr unsigned RoundSpins = 32;
-  const unsigned BudgetRounds =
-      (ActiveConfig.ConflictSpins + RoundSpins - 1) / RoundSpins;
-
   uintptr_t OwnerTag = reinterpret_cast<uintptr_t>(this) & ~uintptr_t(1);
   std::size_t Acquired = 0;
   {
@@ -81,25 +69,17 @@ bool WTxManager::tryCommit() {
     obs::PhaseScope LockPh(Obs.Sampling, &Stats.PhaseCommitLockCycles);
     for (VersionedLock *Lock : LockOrder) {
       uint64_t Saved;
-      unsigned Round = 0;
+      // Stripe-lock arbitration is the object STM's: one ConflictWait per
+      // stripe, one contention-manager decision per round.
+      txn::ConflictWait Wait(ActiveConfig.ContentionPolicy, CmState,
+                             txn::ConflictWait::Ownership);
       while (!Lock->tryLock(Saved, OwnerTag)) {
         uint64_t W = Lock->load();
-        txn::ConflictChoice Choice = txn::ConflictChoice::Wait;
-        if (VersionedLock::isLocked(W))
-          Choice = CM.onConflict(
-              CmState,
-              reinterpret_cast<WTxManager *>(W & ~uint64_t(1))->CmState, Round,
-              BudgetRounds);
-        if (Choice == txn::ConflictChoice::Wait) {
-          if (Round++ == 0)
-            txn::CmStats::instance().bumpConflictWaits();
-          for (unsigned Spin = 0; Spin < RoundSpins - 1; ++Spin)
-            cpuRelax();
-          std::this_thread::yield();
+        if (!VersionedLock::isLocked(W))
+          continue; // the CAS lost a race but the stripe is free: no conflict
+        if (Wait.waitRound(
+                reinterpret_cast<WTxManager *>(W & ~uint64_t(1))->CmState))
           continue;
-        }
-        if (Choice == txn::ConflictChoice::AbortSelfPriority)
-          txn::CmStats::instance().bumpPriorityAborts();
         unlockFirstN(Acquired);
         ++Stats.AbortsOnConflict;
         obs::AbortSites::instance().record(Lock, obs::AbortCause::Conflict,

@@ -8,7 +8,7 @@
 /// Property sweeps over the STM configuration space:
 ///
 ///   - money conservation under (threads × transaction size × filters);
-///   - exact counter totals under (threads × conflict-spin budget),
+///   - exact counter totals under every contention-management policy,
 ///     covering both the wait-out and abort-self contention paths;
 ///   - Field<T> round-trips for every supported payload type, including
 ///     undo-restore after aborts.
@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -110,18 +111,30 @@ TEST_P(TransferSweep, TotalBalanceConserved) {
 }
 
 //===----------------------------------------------------------------------===
-// Contention-path sweep: spin budget 0 forces the abort-self path on
-// every ownership conflict; a large budget exercises waiting out owners.
+// Contention-path sweep: the policy sets how long an attacker waits out an
+// owner. passive forces the abort-self path on every ownership conflict;
+// backoff waits owners out for the budget; karma and greedy wait longer
+// or yield on priority.
 //===----------------------------------------------------------------------===
 
-class SpinBudgetSweep : public ::testing::TestWithParam<unsigned> {};
+namespace otm {
+namespace txn {
+/// Prints a policy by name, so the sweep's cases read /passive etc.
+void PrintTo(CmPolicy P, std::ostream *OS) { *OS << policyName(P); }
+} // namespace txn
+} // namespace otm
+
+class SpinBudgetSweep : public ::testing::TestWithParam<txn::CmPolicy> {};
 
 INSTANTIATE_TEST_SUITE_P(Sweep, SpinBudgetSweep,
-                         ::testing::Values(0u, 1u, 16u, 1024u));
+                         ::testing::Values(txn::CmPolicy::Passive,
+                                           txn::CmPolicy::Backoff,
+                                           txn::CmPolicy::Karma,
+                                           txn::CmPolicy::TimestampGreedy));
 
 TEST_P(SpinBudgetSweep, CounterExactUnderConflicts) {
   ConfigGuard Guard;
-  TxManager::config().ConflictSpins = GetParam();
+  TxManager::config().ContentionPolicy = GetParam();
 
   Account Hot;
   constexpr int NumThreads = 4;

@@ -6,8 +6,9 @@
 ///
 /// \file
 /// The shared transaction-execution layer: contention-manager decision
-/// tables (one per policy), policy name parsing, the serial-irrevocable
-/// gate, retry-controller fallback escalation, CM statistics, and the
+/// tables (one per policy), the conflict-wait loop's rounds, budget and
+/// counters, policy name parsing, the serial-irrevocable gate,
+/// retry-controller fallback escalation, CM statistics, and the
 /// executor-level guarantees both STM front ends inherit (results without
 /// default construction, flattened-nesting accounting).
 ///
@@ -144,6 +145,83 @@ TEST(CmDecisionTest, GreedyOldestWins) {
   TestState Unstamped(0, 0);
   EXPECT_EQ(CM.onConflict(Younger, Unstamped, 0, 4), ConflictChoice::Wait);
   EXPECT_TRUE(CM.needsArrivalStamp());
+}
+
+//===----------------------------------------------------------------------===//
+// The one conflict-wait loop
+//===----------------------------------------------------------------------===//
+
+namespace {
+/// Runs waitRound(Owner) until it gives up; returns the rounds waited.
+unsigned roundsUntilAbort(CmPolicy P, const CmTxState &Us,
+                          const CmTxState &Owner, ConflictWait::Kind K) {
+  ConflictWait Wait(P, Us, K);
+  unsigned Calls = 0;
+  while (Wait.waitRound(Owner))
+    EXPECT_EQ(Wait.rounds(), ++Calls);
+  return Wait.rounds();
+}
+} // namespace
+
+TEST(ConflictWaitRounds, BudgetIsFourRoundsOfThirtyTwoSpins) {
+  EXPECT_EQ(ConflictWait::RoundSpins, 32u);
+  EXPECT_EQ(ConflictWait::BudgetRounds, 4u);
+  TestState Us(0, 0), Owner(0, 0);
+  EXPECT_EQ(roundsUntilAbort(CmPolicy::Passive, Us, Owner,
+                             ConflictWait::Ownership),
+            0u);
+  EXPECT_EQ(roundsUntilAbort(CmPolicy::Backoff, Us, Owner,
+                             ConflictWait::Ownership),
+            ConflictWait::BudgetRounds);
+  // karma and greedy scale the same budget by their patience.
+  TestState Rich(0, 500), Poor(0, 10), Elder(10, 0), Younger(20, 0);
+  EXPECT_EQ(roundsUntilAbort(CmPolicy::Karma, Rich, Poor,
+                             ConflictWait::Semantic),
+            8 * ConflictWait::BudgetRounds);
+  EXPECT_EQ(roundsUntilAbort(CmPolicy::TimestampGreedy, Elder, Younger,
+                             ConflictWait::Semantic),
+            8 * ConflictWait::BudgetRounds);
+}
+
+TEST(ConflictWaitRounds, CountsOncePerConflictByKind) {
+  TestState Us(0, 0), Owner(0, 0), Elder(10, 0), Younger(20, 0);
+  CmStatsSnapshot Before = CmStats::instance().snapshot();
+  // Ownership: a ConflictWait only when the policy waits.
+  roundsUntilAbort(CmPolicy::Passive, Us, Owner, ConflictWait::Ownership);
+  roundsUntilAbort(CmPolicy::Backoff, Us, Owner, ConflictWait::Ownership);
+  roundsUntilAbort(CmPolicy::TimestampGreedy, Younger, Elder,
+                   ConflictWait::Ownership);
+  CmStatsSnapshot Mid = CmStats::instance().snapshot();
+  EXPECT_EQ(Mid.ConflictWaits - Before.ConflictWaits, 1u);
+  EXPECT_EQ(Mid.PriorityAborts - Before.PriorityAborts, 1u);
+  EXPECT_EQ(Mid.SemanticWaits - Before.SemanticWaits, 0u);
+  // Semantic: a SemanticWait per conflict, whatever the policy decides.
+  roundsUntilAbort(CmPolicy::Passive, Us, Owner, ConflictWait::Semantic);
+  roundsUntilAbort(CmPolicy::Backoff, Us, Owner, ConflictWait::Semantic);
+  roundsUntilAbort(CmPolicy::TimestampGreedy, Younger, Elder,
+                   ConflictWait::Semantic);
+  CmStatsSnapshot After = CmStats::instance().snapshot();
+  EXPECT_EQ(After.SemanticWaits - Mid.SemanticWaits, 3u);
+  EXPECT_EQ(After.SemanticPriorityAborts - Mid.SemanticPriorityAborts, 1u);
+  EXPECT_EQ(After.ConflictWaits - Mid.ConflictWaits, 0u);
+  EXPECT_EQ(After.PriorityAborts - Mid.PriorityAborts, 0u);
+}
+
+TEST(ConflictWaitRounds, OwnerlessWaitIsBudgetOnly) {
+  // No owner to arbitrate with: every policy, passive included, waits the
+  // budget out and counts nothing.
+  TestState Us(0, 0);
+  CmStatsSnapshot Before = CmStats::instance().snapshot();
+  for (unsigned I = 0; I < NumCmPolicies; ++I) {
+    ConflictWait Wait(static_cast<CmPolicy>(I), Us, ConflictWait::Semantic);
+    unsigned Rounds = 0;
+    while (Wait.waitRound())
+      ++Rounds;
+    EXPECT_EQ(Rounds, ConflictWait::BudgetRounds);
+  }
+  CmStatsSnapshot After = CmStats::instance().snapshot();
+  EXPECT_EQ(After.SemanticWaits, Before.SemanticWaits);
+  EXPECT_EQ(After.ConflictWaits, Before.ConflictWaits);
 }
 
 //===----------------------------------------------------------------------===//
