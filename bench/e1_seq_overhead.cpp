@@ -341,24 +341,20 @@ int main() {
                 FloorCountArg, FloorTimeArg, /*PerInstr=*/true),
       runInterp(CounterSrc, "interp-counter/ignore-atomic",
                 Interpreter::TxMode::IgnoreAtomic,
-                Interpreter::Dispatch::Auto, OptConfig::none(), CtrCountArg,
-                CtrTimeArg, /*PerInstr=*/false),
+                Interpreter::Dispatch::Threaded, OptConfig::none(),
+                CtrCountArg, CtrTimeArg, /*PerInstr=*/false),
       runInterp(CounterSrc, "interp-counter/obj-stm-naive",
-                Interpreter::TxMode::ObjStm, Interpreter::Dispatch::Auto,
+                Interpreter::TxMode::ObjStm, Interpreter::Dispatch::Threaded,
                 OptConfig::none(), CtrCountArg, CtrTimeArg,
                 /*PerInstr=*/false),
       runInterp(CounterSrc, "interp-counter/obj-stm-opt",
-                Interpreter::TxMode::ObjStm, Interpreter::Dispatch::Auto,
+                Interpreter::TxMode::ObjStm, Interpreter::Dispatch::Threaded,
                 OptConfig::all(), CtrCountArg, CtrTimeArg,
                 /*PerInstr=*/false),
   };
 
   std::printf("\nTMIR interpreter dispatch floor (floor rows: ns/instr; "
-              "counter rows: ns/op)%s\n",
-              Interpreter::threadedDispatchAvailable()
-                  ? ""
-                  : " [threaded dispatch not compiled in: both floor rows "
-                    "ran the switch loop]");
+              "counter rows: ns/op)\n");
   printHeaderRule();
   for (const InterpRow &R : InterpRows) {
     std::printf("%-28s %9.2f\n", R.Label.c_str(), R.NsPerOp);

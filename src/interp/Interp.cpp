@@ -10,8 +10,8 @@
 // run time each handler is a few loads/stores on the frame's slot file.
 //
 // Two loops execute the same DInstr stream: a computed-goto direct-
-// threaded loop (GCC/Clang; compiled out with -DOTM_INTERP_THREADED=0) and
-// a portable switch loop. Both are generated from InterpDispatch.inc so
+// threaded loop (GNU computed goto, which every supported compiler has)
+// and a switch loop. Both are generated from InterpDispatch.inc so
 // their semantics cannot drift; tests/InterpDifferentialTest.cpp runs
 // every benchmark program through both and compares results, prints and
 // dynamic counts.
@@ -30,20 +30,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <mutex>
 #include <optional>
-
-// The direct-threaded loop needs GNU computed goto; default it on for the
-// compilers that have it, off elsewhere. Build with -DOTM_INTERP_THREADED=0
-// to force the portable switch loop only.
-#ifndef OTM_INTERP_THREADED
-#if defined(__GNUC__) || defined(__clang__)
-#define OTM_INTERP_THREADED 1
-#else
-#define OTM_INTERP_THREADED 0
-#endif
-#endif
 
 using namespace otm;
 using namespace otm::interp;
@@ -148,29 +136,9 @@ public:
 } // namespace interp
 } // namespace otm
 
-bool Interpreter::threadedDispatchAvailable() {
-  return OTM_INTERP_THREADED != 0;
-}
-
 Interpreter::Interpreter(Module &M, Options Opts) : M(M), Opts(Opts) {
   verifyModuleOrDie(M); // fills RegTypes, required for decode + GC scanning
   DM = decodeModule(M, Opts.Mode);
-
-  if (threadedDispatchAvailable()) {
-    switch (Opts.Loop) {
-    case Dispatch::Threaded:
-      UseThreaded = true;
-      break;
-    case Dispatch::Switch:
-      UseThreaded = false;
-      break;
-    case Dispatch::Auto: {
-      const char *Env = std::getenv("OTM_INTERP_DISPATCH");
-      UseThreaded = !(Env && std::strcmp(Env, "switch") == 0);
-      break;
-    }
-    }
-  }
 }
 
 HeapObject *Interpreter::makeObject(const std::string &ClassName) {
@@ -314,8 +282,9 @@ int64_t Interpreter::execFunction(const DecodedFunction &DF,
   uint32_t Pc = 0;
   for (;;) {
     try {
-      return UseThreaded ? execThreadedLoop(Fr, Pc, D, Reload)
-                         : execSwitchLoop(Fr, Pc, D, Reload);
+      return Opts.Loop == Dispatch::Threaded
+                 ? execThreadedLoop(Fr, Pc, D, Reload)
+                 : execSwitchLoop(Fr, Pc, D, Reload);
     } catch (const stm::AbortTx &Reason) {
       if (!Fr.OwnsTx)
         throw; // unwind to the frame that owns the transaction
@@ -333,8 +302,6 @@ int64_t Interpreter::execSwitchLoop(Frame &Fr, uint32_t Pc,
 #undef OTM_LOOP_THREADED
 }
 
-#if OTM_INTERP_THREADED
-
 int64_t Interpreter::execThreadedLoop(Frame &Fr, uint32_t Pc,
                                       DynCounts::Delta &D,
                                       uint64_t ValidateReload) {
@@ -342,13 +309,3 @@ int64_t Interpreter::execThreadedLoop(Frame &Fr, uint32_t Pc,
 #include "interp/InterpDispatch.inc"
 #undef OTM_LOOP_THREADED
 }
-
-#else
-
-int64_t Interpreter::execThreadedLoop(Frame &Fr, uint32_t Pc,
-                                      DynCounts::Delta &D,
-                                      uint64_t ValidateReload) {
-  return execSwitchLoop(Fr, Pc, D, ValidateReload);
-}
-
-#endif // OTM_INTERP_THREADED

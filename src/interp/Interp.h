@@ -16,11 +16,9 @@
 /// configured TxMode, then executed by one of two loops over the same
 /// decoded stream:
 ///
-///   - a computed-goto direct-threaded loop (default on GCC/Clang; build
-///     with -DOTM_INTERP_THREADED=0 or set Options::Dispatch /
-///     OTM_INTERP_DISPATCH=switch to opt out), and
-///   - a portable switch loop, which doubles as the differential oracle
-///     for the threaded one.
+///   - a computed-goto direct-threaded loop (the default), and
+///   - a switch loop (Options::Loop = Dispatch::Switch), which serves as
+///     the differential oracle for the threaded one.
 ///
 /// Transaction modes:
 ///   - IgnoreAtomic — region markers are no-ops (sequential baseline);
@@ -120,14 +118,12 @@ class Interpreter {
 public:
   enum class TxMode { IgnoreAtomic, GlobalLock, ObjStm };
 
-  /// Which execution loop run() uses. Auto resolves to the threaded loop
-  /// when compiled in (honouring the OTM_INTERP_DISPATCH=threaded|switch
-  /// environment override), else the switch loop.
-  enum class Dispatch { Auto, Threaded, Switch };
+  /// Which execution loop run() uses.
+  enum class Dispatch { Threaded, Switch };
 
   struct Options {
     TxMode Mode = TxMode::ObjStm;
-    Dispatch Loop = Dispatch::Auto;
+    Dispatch Loop = Dispatch::Threaded;
     /// Auto-collect when this many allocations accumulate (0 = never).
     /// Only legal for single-threaded runs.
     uint64_t GcEveryNAllocs = 0;
@@ -158,11 +154,6 @@ public:
   const std::vector<int64_t> &printedValues() const { return Printed; }
   void clearPrinted() { Printed.clear(); }
 
-  /// True when the computed-goto loop was compiled in.
-  static bool threadedDispatchAvailable();
-  /// The loop this interpreter actually runs (after Auto resolution).
-  bool usesThreadedDispatch() const { return UseThreaded; }
-
   /// Allocates an object/array usable as a run() argument (setup phases).
   /// An unknown class name is a fatal error in every build mode.
   HeapObject *makeObject(const std::string &ClassName);
@@ -190,7 +181,6 @@ private:
   tmir::Module &M;
   Options Opts;
   DecodedModule DM;
-  bool UseThreaded = false;
   Heap TheHeap;
   DynCounts Counts;
   std::vector<int64_t> Printed; // guarded by PrintMutex

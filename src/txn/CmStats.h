@@ -35,7 +35,7 @@ namespace txn {
   X(FallbackEntries)  /* escalations into serial-irrevocable mode */           \
   X(FallbackCommits)  /* transactions that finished while serial */            \
   X(GateWaits)        /* attempts that stalled behind a serial owner */        \
-  X(SemanticWaits)    /* abstract-lock conflicts, waited out or not */         \
+  X(SemanticWaits)    /* abstract-lock conflicts the policy chose to wait on */\
   X(SemanticPriorityAborts) /* abstract-lock conflicts lost on priority */     \
   X(HtmAbortsExplicit)    /* hw aborts via xabort (all codes) */               \
   X(HtmAbortsSerial)      /* ... code: serial gate held by a writer */         \

@@ -9,6 +9,7 @@
 #include "support/Compiler.h"
 #include "txn/CmStats.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <thread>
@@ -16,117 +17,28 @@
 using namespace otm;
 using namespace otm::txn;
 
-namespace {
-
-/// passive — the attacker never waits at a conflict and retries without
-/// pacing. Pure optimism: progress comes from the retry loop (and, under
-/// pathological contention, from the serial fallback).
-class PassiveCm final : public ContentionManager {
-public:
-  CmPolicy kind() const override { return CmPolicy::Passive; }
-  const char *name() const override { return "passive"; }
-
-  ConflictChoice onConflict(const CmTxState &, const CmTxState &, unsigned,
-                            unsigned) const override {
-    return ConflictChoice::AbortSelf;
+ConflictChoice otm::txn::onConflict(CmPolicy P, const CmTxState &Us,
+                                    const CmTxState &Owner, unsigned Round,
+                                    unsigned BudgetRounds) {
+  const CmRule &R = ruleFor(P);
+  bool Yields = false;
+  switch (R.YieldRule) {
+  case CmRule::Never:
+    break;
+  case CmRule::Poorer:
+    Yields = Us.priority() < Owner.priority();
+    break;
+  case CmRule::Younger: {
+    uint64_t UsStamp = Us.stamp(), OwnerStamp = Owner.stamp();
+    Yields = UsStamp != 0 && OwnerStamp != 0 && UsStamp > OwnerStamp;
+    break;
   }
-
-  bool pauseAfterAbort(unsigned, Backoff &) const override { return false; }
-};
-
-/// backoff — the pre-refactor heuristic: spin at the conflict up to the
-/// configured budget, randomized exponential backoff between attempts.
-class BackoffCm final : public ContentionManager {
-public:
-  CmPolicy kind() const override { return CmPolicy::Backoff; }
-  const char *name() const override { return "backoff"; }
-
-  ConflictChoice onConflict(const CmTxState &, const CmTxState &,
-                            unsigned Round,
-                            unsigned BudgetRounds) const override {
-    return Round < BudgetRounds ? ConflictChoice::Wait
-                                : ConflictChoice::AbortSelf;
   }
-
-  bool pauseAfterAbort(unsigned, Backoff &B) const override {
-    B.pause();
-    return true;
-  }
-};
-
-/// karma — priority is the work (opens + undo logs) a transaction has
-/// invested across all its attempts. A richer attacker outwaits the owner
-/// (it has more to lose) up to an extended budget; a poorer one yields
-/// immediately — a *priority* abort. Repeated losers accrue karma with
-/// every attempt, so starvation self-corrects before the serial fallback
-/// has to step in.
-class KarmaCm final : public ContentionManager {
-public:
-  CmPolicy kind() const override { return CmPolicy::Karma; }
-  const char *name() const override { return "karma"; }
-
-  ConflictChoice onConflict(const CmTxState &Us, const CmTxState &Owner,
-                            unsigned Round,
-                            unsigned BudgetRounds) const override {
-    if (Us.priority() >= Owner.priority())
-      return Round < PatienceFactor * BudgetRounds
-                 ? ConflictChoice::Wait
-                 : ConflictChoice::AbortSelf;
+  if (Yields)
     return ConflictChoice::AbortSelfPriority;
-  }
-
-  bool pauseAfterAbort(unsigned, Backoff &B) const override {
-    B.pause();
-    return true;
-  }
-
-private:
-  static constexpr unsigned PatienceFactor = 8;
-};
-
-/// greedy — timestamp order: the oldest transaction wins. An older
-/// attacker outwaits the owner; a younger one yields at once and retries
-/// after a pause (by which time the elder has usually finished). Owners
-/// without a stamp (transactions begun outside the retry layer) are
-/// treated as unknown and outwaited like backoff.
-class GreedyCm final : public ContentionManager {
-public:
-  GreedyCm() : ContentionManager(/*NeedsStamp=*/true) {}
-
-  CmPolicy kind() const override { return CmPolicy::TimestampGreedy; }
-  const char *name() const override { return "greedy"; }
-
-  ConflictChoice onConflict(const CmTxState &Us, const CmTxState &Owner,
-                            unsigned Round,
-                            unsigned BudgetRounds) const override {
-    uint64_t OwnerStamp = Owner.stamp();
-    uint64_t UsStamp = Us.stamp();
-    if (UsStamp != 0 && OwnerStamp != 0 && UsStamp > OwnerStamp)
-      return ConflictChoice::AbortSelfPriority; // younger yields to elder
-    return Round < PatienceFactor * BudgetRounds ? ConflictChoice::Wait
-                                                 : ConflictChoice::AbortSelf;
-  }
-
-  bool pauseAfterAbort(unsigned, Backoff &B) const override {
-    B.pause();
-    return true;
-  }
-
-private:
-  static constexpr unsigned PatienceFactor = 8;
-};
-
-// Singleton instances behind the inline managerFor table. Namespace-scope
-// (not function-local statics) so the table lookup carries no init guard.
-const PassiveCm PassiveInst;
-const BackoffCm BackoffInst;
-const KarmaCm KarmaInst;
-const GreedyCm GreedyInst;
-
-} // namespace
-
-const ContentionManager *const otm::txn::detail::CmTable[NumCmPolicies] = {
-    &PassiveInst, &BackoffInst, &KarmaInst, &GreedyInst};
+  return Round < R.WaitFactor * BudgetRounds ? ConflictChoice::Wait
+                                             : ConflictChoice::AbortSelf;
+}
 
 void ConflictWait::pause() {
   for (unsigned Spin = 0; Spin < RoundSpins - 1; ++Spin)
@@ -137,12 +49,10 @@ void ConflictWait::pause() {
 
 bool ConflictWait::waitRound(const CmTxState &Owner) {
   CmStats &Stats = CmStats::instance();
-  if (K == Semantic && Rounds == 0)
-    Stats.bumpSemanticWaits();
-  ConflictChoice Choice = CM.onConflict(Us, Owner, Rounds, BudgetRounds);
+  ConflictChoice Choice = onConflict(P, Us, Owner, Rounds, BudgetRounds);
   if (Choice == ConflictChoice::Wait) {
-    if (K == Ownership && Rounds == 0)
-      Stats.bumpConflictWaits();
+    if (Rounds == 0)
+      K == Semantic ? Stats.bumpSemanticWaits() : Stats.bumpConflictWaits();
     pause();
     return true;
   }
@@ -153,15 +63,13 @@ bool ConflictWait::waitRound(const CmTxState &Owner) {
 }
 
 bool ConflictWait::waitRound() {
-  if (Rounds >= BudgetRounds)
+  if (Rounds >= std::min(ruleFor(P).WaitFactor * BudgetRounds, BudgetRounds))
     return false;
   pause();
   return true;
 }
 
-const char *otm::txn::policyName(CmPolicy P) {
-  return managerFor(P).name();
-}
+const char *otm::txn::policyName(CmPolicy P) { return ruleFor(P).Name; }
 
 bool otm::txn::parsePolicy(const char *Name, CmPolicy &Out) {
   if (!Name)

@@ -6,28 +6,29 @@
 ///
 /// \file
 /// The contention-management layer: *what happens on conflict* is a policy,
-/// not a hard-coded heuristic. Both STMs and the interpreter consult one
-/// ContentionManager at their two decision points:
+/// not a hard-coded heuristic. A policy is one row of CmRules; both STMs
+/// and the interpreter consult it at their two decision points:
 ///
 ///   - onConflict: attacker-side arbitration while another transaction owns
-///     the object/stripe we want — keep waiting for the owner, or abort
-///     ourselves (optionally attributed as a *priority* abort when the
-///     policy decided we lost the arbitration rather than timed out);
+///     the resource we want — keep waiting for the owner, or abort
+///     ourselves (a *priority* abort when the row's yield rule ranked the
+///     owner above us, rather than a timeout);
 ///   - pauseAfterAbort: inter-attempt pacing inside the retry loop.
 ///
 /// Four policies ship (selected per-process via TxConfig or the OTM_CM
 /// environment variable):
 ///
-///   - passive: the attacker always yields immediately — minimal waiting,
-///     maximal optimism, relies on the retry loop for progress;
-///   - backoff: the pre-refactor behaviour — bounded spin at the conflict,
+///   - passive: never waits, never pauses — maximal optimism, relies on
+///     the retry loop for progress;
+///   - backoff: the pre-refactor behaviour — bounded wait at the conflict,
 ///     randomized exponential backoff between attempts;
 ///   - karma: priority accrues with work done (opens + undo logs) across
-///     the attempts of one transaction; richer transactions wait longer,
-///     poorer ones yield to them (adapted to this STM: we cannot abort the
-///     *owner* remotely, so losing means aborting ourselves);
+///     the attempts of one transaction; richer attackers wait 8x longer,
+///     poorer ones yield at once (adapted to this STM: we cannot abort the
+///     *owner* remotely, so losing means aborting ourselves), so repeated
+///     losers gain priority before the serial fallback has to step in;
 ///   - greedy: timestamp order — the oldest transaction wins: an older
-///     attacker outwaits the owner, a younger one yields at once.
+///     attacker outwaits the owner 8x longer, a younger one yields at once.
 ///
 /// This library sits below both STMs (it depends only on support + obs), so
 /// the per-transaction arbitration state (CmTxState) is defined here and
@@ -97,49 +98,60 @@ enum class ConflictChoice : uint8_t {
   AbortSelfPriority, ///< yield because the policy ranked the owner above us
 };
 
-/// One contention-management policy. Implementations are stateless
-/// process-wide singletons (all per-transaction state lives in CmTxState),
-/// so consulting one from any thread is free of synchronization.
-class ContentionManager {
-public:
-  virtual ~ContentionManager() = default;
+/// What a policy does, as one row of CmRules. onConflict applies the same
+/// rule to every row: an attacker the row's yield rule ranks below the
+/// owner aborts at once (a priority abort); any other attacker waits
+/// WaitFactor times the caller's budget, then aborts on timeout.
+struct CmRule {
+  /// Which attacker yields to the owner before any wait.
+  enum Yield : uint8_t {
+    Never,   ///< no priority rule
+    Poorer,  ///< less karma (opens + undo logs across attempts) than the owner
+    Younger, ///< a later arrival stamp than the owner; an unstamped owner
+             ///< (begun outside the retry layer) is simply waited on
+  };
 
-  /// True when the policy needs a global arrival stamp per transaction.
-  /// A plain flag (not a virtual) because the retry layer asks once per
-  /// transaction, on the hot path.
-  bool needsArrivalStamp() const { return NeedsStamp; }
-
-  virtual CmPolicy kind() const = 0;
-  virtual const char *name() const = 0;
-
-  /// Arbitrates one wait round of an open/lock conflict. \p Round counts
-  /// completed wait rounds on this conflict (see ConflictWait);
-  /// \p BudgetRounds is the base wait budget in rounds.
-  virtual ConflictChoice onConflict(const CmTxState &Us,
-                                    const CmTxState &Owner, unsigned Round,
-                                    unsigned BudgetRounds) const = 0;
-
-  /// Inter-attempt pacing after attempt number \p Attempts aborted.
-  /// Returns true if the policy actually paused (for statistics).
-  virtual bool pauseAfterAbort(unsigned Attempts, Backoff &B) const = 0;
-
-protected:
-  explicit ContentionManager(bool NeedsStamp = false)
-      : NeedsStamp(NeedsStamp) {}
-
-private:
-  const bool NeedsStamp;
+  const char *Name;
+  unsigned WaitFactor; ///< wait budget as a multiple of the base; 0 = none
+  Yield YieldRule;
+  bool Pauses; ///< randomized exponential backoff between attempts
 };
 
-namespace detail {
-/// Singleton table indexed by CmPolicy (defined in ContentionManager.cpp).
-extern const ContentionManager *const CmTable[NumCmPolicies];
-} // namespace detail
+/// One row per CmPolicy, in enum order.
+inline constexpr CmRule CmRules[NumCmPolicies] = {
+    {"passive", 0, CmRule::Never, false},
+    {"backoff", 1, CmRule::Never, true},
+    {"karma", 8, CmRule::Poorer, true},
+    {"greedy", 8, CmRule::Younger, true},
+};
 
-/// The process-wide singleton implementing \p P. Inline (one indexed load):
-/// the retry layer resolves the policy at every top-level transaction.
-inline const ContentionManager &managerFor(CmPolicy P) {
-  return *detail::CmTable[static_cast<unsigned>(P)];
+inline const CmRule &ruleFor(CmPolicy P) {
+  return CmRules[static_cast<unsigned>(P)];
+}
+
+/// Arbitrates one wait round of an open/lock conflict under \p P. \p Round
+/// counts completed wait rounds on this conflict (see ConflictWait);
+/// \p BudgetRounds is the base wait budget in rounds.
+ConflictChoice onConflict(CmPolicy P, const CmTxState &Us,
+                          const CmTxState &Owner, unsigned Round,
+                          unsigned BudgetRounds);
+
+/// True when \p P paces the retry loop between attempts.
+inline bool pausesAfterAbort(CmPolicy P) { return ruleFor(P).Pauses; }
+
+/// True when \p P needs a global arrival stamp per transaction. Asked once
+/// per transaction by the retry layer, on the hot path.
+inline bool needsArrivalStamp(CmPolicy P) {
+  return ruleFor(P).YieldRule == CmRule::Younger;
+}
+
+/// Inter-attempt pacing after an aborted attempt. Returns true if \p P
+/// actually paused (for statistics).
+inline bool pauseAfterAbort(CmPolicy P, Backoff &B) {
+  if (!pausesAfterAbort(P))
+    return false;
+  B.pause();
+  return true;
 }
 
 /// The one conflict-wait loop: an attacker's wait on one held resource (an
@@ -161,16 +173,17 @@ public:
   static constexpr unsigned BudgetRounds = 4;
 
   ConflictWait(CmPolicy P, const CmTxState &Us, Kind K)
-      : CM(managerFor(P)), Us(Us), K(K) {}
+      : P(P), Us(Us), K(K) {}
 
   /// Arbitrates one round against \p Owner: true after waiting it out
-  /// (retry the resource), false when the attacker must abort. Ownership
-  /// counts a ConflictWait the first time the policy waits; Semantic counts
-  /// a SemanticWait per conflict, whatever the policy decides.
+  /// (retry the resource), false when the attacker must abort. Counts a
+  /// ConflictWait (Ownership) or SemanticWait (Semantic) the first time
+  /// the policy waits on this conflict.
   bool waitRound(const CmTxState &Owner);
 
-  /// A round with no single owner to arbitrate with: waits while the
-  /// budget lasts, consults no policy, counts nothing.
+  /// A round with no single owner to arbitrate with: waits while
+  /// min(policy wait budget, BudgetRounds) lasts — so passive never waits
+  /// — ranks no one and counts nothing.
   bool waitRound();
 
   /// Rounds waited so far on this conflict.
@@ -179,7 +192,7 @@ public:
 private:
   void pause();
 
-  const ContentionManager &CM;
+  const CmPolicy P;
   const CmTxState &Us;
   unsigned Rounds = 0;
   const Kind K;

@@ -9,8 +9,8 @@
 /// (object-STM Stm entry points, word-STM WordStm::atomic, and the TMIR
 /// interpreter's atomic regions). It owns the begin/try/rollback/pause
 /// sequencing, delegates every conflict decision to the configured
-/// ContentionManager, and escalates to serial-irrevocable mode through the
-/// SerialGate once the retry budget is exhausted.
+/// contention policy (CmPolicy), and escalates to serial-irrevocable mode
+/// through the SerialGate once the retry budget is exhausted.
 ///
 /// Two entry shapes:
 ///
@@ -68,13 +68,13 @@ class RetryController {
 public:
   /// \p FallbackAfter is the retry budget: after that many aborted
   /// attempts the next one runs serial-irrevocable (0 disables fallback).
-  RetryController(const ContentionManager &CM, CmTxState &St,
-                  unsigned FallbackAfter, uint64_t BackoffSeed)
-      : CM(CM), St(St), Gate(SerialGate::instance()),
+  RetryController(CmPolicy Policy, CmTxState &St, unsigned FallbackAfter,
+                  uint64_t BackoffSeed)
+      : St(St), Gate(SerialGate::instance()),
         Slot(Gate.slotForCurrentThread()),
         EPin(gc::EpochManager::global().threadPin()),
-        FallbackAfter(FallbackAfter), B(BackoffSeed) {
-    St.beginTransaction(CM.needsArrivalStamp() ? nextArrivalStamp() : 0);
+        FallbackAfter(FallbackAfter), Policy(Policy), B(BackoffSeed) {
+    St.beginTransaction(needsArrivalStamp(Policy) ? nextArrivalStamp() : 0);
   }
 
   RetryController(const RetryController &) = delete;
@@ -160,7 +160,7 @@ public:
       // is armed only when the client wired a histogram (setter below) and
       // latency sampling is on, so the common path costs one null check.
       obs::PhaseScope Ph(BackoffHist && obs::samplingEnabled(), BackoffHist);
-      Paused = CM.pauseAfterAbort(Attempts, B);
+      Paused = pauseAfterAbort(Policy, B);
     }
     if (Paused)
       CmStats::instance().bumpAttemptPauses();
@@ -211,12 +211,12 @@ private:
     }
   }
 
-  const ContentionManager &CM;
   CmTxState &St;
   SerialGate &Gate;
   SerialGate::Slot &Slot;
   gc::EpochManager::ThreadPin EPin;
   unsigned FallbackAfter;
+  const CmPolicy Policy;
   Backoff B;
   unsigned Attempts = 0;
   uint64_t OpAtBegin = 0;
@@ -245,7 +245,7 @@ private:
 ///    and we return true without touching the software tier, matching
 ///    AttemptOutcome::NoRetryAbort semantics.
 ///  - Everything else maps onto the same contention-management hooks the
-///    software tier uses: retryable aborts consult CM.pauseAfterAbort with
+///    software tier uses: retryable aborts consult pauseAfterAbort with
 ///    the shared Backoff, and exhaustion bumps HtmFallbacks before the STM
 ///    takes over.
 template <typename Adapter, typename FnType>
@@ -257,7 +257,7 @@ bool htmTryExecute(typename Adapter::Manager &Tx, FnType &Fn) {
     return false;
   SerialGate &Gate = SerialGate::instance();
   CmStats &CS = CmStats::instance();
-  const ContentionManager &CM = managerFor(Adapter::policy());
+  const CmPolicy Policy = Adapter::policy();
   Backoff B(reinterpret_cast<uintptr_t>(&Tx) * Adapter::seedMix());
   for (unsigned Attempt = 1; Attempt <= MaxAttempts; ++Attempt) {
     if (Gate.exclusiveActive())
@@ -326,7 +326,7 @@ bool htmTryExecute(typename Adapter::Manager &Tx, FnType &Fn) {
     if (!RetryHw)
       break;
     // Same inter-attempt arbitration as the software rungs.
-    if (CM.pauseAfterAbort(Attempt, B))
+    if (pauseAfterAbort(Policy, B))
       CS.bumpAttemptPauses();
   }
   CS.bumpHtmFallbacks();
@@ -503,8 +503,8 @@ private:
       if (!Admission && !snapshotAttempt(ReadOnly) &&
           htmTryExecute<Adapter>(Tx, Fn))
         return;
-    const ContentionManager &CM = managerFor(Adapter::policy());
-    RetryController Ctl(CM, Adapter::cmState(Tx), Adapter::fallbackAfter(),
+    RetryController Ctl(Adapter::policy(), Adapter::cmState(Tx),
+                        Adapter::fallbackAfter(),
                         reinterpret_cast<uintptr_t>(&Tx) *
                             Adapter::seedMix());
     if constexpr (requires { Adapter::backoffHistogram(Tx); })

@@ -16,12 +16,15 @@
 ///
 ///   - passive aborts at the first arbitration;
 ///   - backoff waits the round budget out, then aborts on timeout;
+///   - karma, attacking an owner with as much karma, waits 8x the budget
+///     out, then aborts on timeout;
 ///   - greedy, attacking an elder owner, yields at once on priority.
 ///
-/// The structural drain has no single owner to arbitrate with, so it waits
-/// out the budget under every policy. Each case pins the attacker's
-/// AbortsOnConflict and BoostLockWaits and the process-wide ConflictWaits,
-/// SemanticWaits, PriorityAborts and SemanticPriorityAborts.
+/// The structural drain has no single owner to rank, so it waits the
+/// policy's budget capped at the base one: passive aborts at once, the
+/// others after 4 rounds. Each case pins the attacker's AbortsOnConflict
+/// and BoostLockWaits and the process-wide ConflictWaits, SemanticWaits,
+/// PriorityAborts and SemanticPriorityAborts.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -171,26 +174,34 @@ class ConflictWaitPaths : public ::testing::TestWithParam<CmPolicy> {
 protected:
   void SetUp() override { TxManager::config().ContentionPolicy = GetParam(); }
 
-  /// Expected deltas of an object-owner or stripe conflict: backoff waits
-  /// (one ConflictWait per conflict), greedy loses on priority.
+  /// True when the policy waits on this owner: backoff and karma (the
+  /// owner has no more karma than the attacker) do, passive never does,
+  /// greedy yields to the elder owner at once.
+  bool waits() const {
+    return GetParam() == CmPolicy::Backoff || GetParam() == CmPolicy::Karma;
+  }
+
+  /// Expected deltas of an object-owner or stripe conflict: a waiting
+  /// policy counts one ConflictWait per conflict, greedy loses on priority.
   Counts ownership(uint64_t Conflicts) const {
     Counts C;
     C.AbortsOnConflict = Conflicts;
-    if (GetParam() == CmPolicy::Backoff)
+    if (waits())
       C.ConflictWaits = Conflicts;
     if (GetParam() == CmPolicy::TimestampGreedy)
       C.PriorityAborts = Conflicts;
     return C;
   }
 
-  /// Expected deltas of a key-lock or gate-claim conflict: every semantic
-  /// conflict counts one SemanticWait/BoostLockWait, whatever the policy
-  /// then decides.
+  /// Expected deltas of a key-lock or gate-claim conflict: counted as an
+  /// ownership conflict is, in the semantic counters, plus one
+  /// BoostLockWait per conflict whatever the policy decides.
   Counts semantic() const {
     Counts C;
     C.AbortsOnConflict = 1;
     C.BoostLockWaits = 1;
-    C.SemanticWaits = 1;
+    if (waits())
+      C.SemanticWaits = 1;
     if (GetParam() == CmPolicy::TimestampGreedy)
       C.SemanticPriorityAborts = 1;
     return C;
@@ -201,7 +212,7 @@ protected:
 
 INSTANTIATE_TEST_SUITE_P(Policies, ConflictWaitPaths,
                          ::testing::Values(CmPolicy::Passive,
-                                           CmPolicy::Backoff,
+                                           CmPolicy::Backoff, CmPolicy::Karma,
                                            CmPolicy::TimestampGreedy));
 
 } // namespace
@@ -284,8 +295,9 @@ TEST_P(ConflictWaitPaths, StructuralDrain) {
   });
   const uint64_t FallbacksBefore =
       TxManager::current().stats().BoostStructuralFallbacks;
-  // The gate claim succeeds; the foreign key lock never drains. No policy
-  // is consulted: the attacker waits the budget out and aborts.
+  // The gate claim succeeds; the foreign key lock never drains. No one is
+  // ranked: passive aborts at once, the others wait the budget out and
+  // abort; nothing counts as a wait.
   Counts Drain;
   Drain.AbortsOnConflict = 1;
   EXPECT_EQ(attackExpectingConflict([&](TxManager &Tx) {

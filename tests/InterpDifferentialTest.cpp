@@ -101,8 +101,6 @@ const char *modeName(Interpreter::TxMode Mode) {
 } // namespace
 
 TEST(InterpDifferential, BenchProgramsAllModes) {
-  if (!Interpreter::threadedDispatchAvailable())
-    GTEST_SKIP() << "threaded dispatch not compiled in";
   unsigned NumPrograms = 0;
   const TmirProgram *Programs = tmirPrograms(NumPrograms);
   for (unsigned P = 0; P < NumPrograms; ++P)
@@ -119,8 +117,6 @@ TEST(InterpDifferential, BenchProgramsAllModes) {
 }
 
 TEST(InterpDifferential, BenchProgramsObjStmForcedRetries) {
-  if (!Interpreter::threadedDispatchAvailable())
-    GTEST_SKIP() << "threaded dispatch not compiled in";
   unsigned NumPrograms = 0;
   const TmirProgram *Programs = tmirPrograms(NumPrograms);
   for (unsigned P = 0; P < NumPrograms; ++P)
@@ -142,7 +138,7 @@ TEST(InterpDifferential, ForcedRetriesActuallyRetry) {
   const TmirProgram *Programs = tmirPrograms(NumPrograms);
   const TmirProgram &P = Programs[0]; // list-sum: one top-level region
   EngineSample S =
-      runEngine(P.Source, P.Entry, P.Arg, Interpreter::Dispatch::Auto,
+      runEngine(P.Source, P.Entry, P.Arg, Interpreter::Dispatch::Threaded,
                 Interpreter::TxMode::ObjStm, OptConfig::none(), 2);
   ASSERT_FALSE(S.R.Trapped) << S.R.Error;
   EXPECT_EQ(S.R.Value, P.Expected);
@@ -152,8 +148,6 @@ TEST(InterpDifferential, ForcedRetriesActuallyRetry) {
 }
 
 TEST(InterpDifferential, PrintsAndTrapsMatch) {
-  if (!Interpreter::threadedDispatchAvailable())
-    GTEST_SKIP() << "threaded dispatch not compiled in";
   static const char *PrintProgram = R"(
 func main(n: i64): i64 {
   var i: i64

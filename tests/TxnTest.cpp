@@ -59,9 +59,12 @@ TEST(CmPolicyTest, NamesRoundTrip) {
     CmPolicy Parsed;
     ASSERT_TRUE(parsePolicy(policyName(P), Parsed)) << policyName(P);
     EXPECT_EQ(Parsed, P);
-    EXPECT_EQ(managerFor(P).kind(), P);
-    EXPECT_STREQ(managerFor(P).name(), policyName(P));
   }
+  // CmRules rows follow the enum order.
+  EXPECT_STREQ(policyName(CmPolicy::Passive), "passive");
+  EXPECT_STREQ(policyName(CmPolicy::Backoff), "backoff");
+  EXPECT_STREQ(policyName(CmPolicy::Karma), "karma");
+  EXPECT_STREQ(policyName(CmPolicy::TimestampGreedy), "greedy");
 }
 
 TEST(CmPolicyTest, ParseRejectsUnknownAndNull) {
@@ -92,59 +95,64 @@ TEST(CmPolicyTest, CmTxStateResetsPerTransaction) {
 //===----------------------------------------------------------------------===//
 
 TEST(CmDecisionTest, PassiveNeverWaits) {
-  const ContentionManager &CM = managerFor(CmPolicy::Passive);
+  constexpr CmPolicy P = CmPolicy::Passive;
   TestState Us(0, 0), Owner(0, 1000);
   for (unsigned Round : {0u, 1u, 100u})
-    EXPECT_EQ(CM.onConflict(Us, Owner, Round, 4), ConflictChoice::AbortSelf);
-  EXPECT_FALSE(CM.needsArrivalStamp());
+    EXPECT_EQ(onConflict(P, Us, Owner, Round, 4), ConflictChoice::AbortSelf);
+  EXPECT_FALSE(needsArrivalStamp(P));
+  EXPECT_FALSE(pausesAfterAbort(P));
   Backoff B(1);
-  EXPECT_FALSE(CM.pauseAfterAbort(1, B)) << "passive does not pace retries";
+  EXPECT_FALSE(pauseAfterAbort(P, B)) << "passive does not pace retries";
 }
 
 TEST(CmDecisionTest, BackoffWaitsExactlyTheBudget) {
-  const ContentionManager &CM = managerFor(CmPolicy::Backoff);
+  constexpr CmPolicy P = CmPolicy::Backoff;
   TestState Us(0, 0), Owner(0, 0);
   constexpr unsigned Budget = 4;
   for (unsigned Round = 0; Round < Budget; ++Round)
-    EXPECT_EQ(CM.onConflict(Us, Owner, Round, Budget), ConflictChoice::Wait);
-  EXPECT_EQ(CM.onConflict(Us, Owner, Budget, Budget),
+    EXPECT_EQ(onConflict(P, Us, Owner, Round, Budget), ConflictChoice::Wait);
+  EXPECT_EQ(onConflict(P, Us, Owner, Budget, Budget),
             ConflictChoice::AbortSelf)
       << "budget exhaustion is a timeout abort, not a priority abort";
-  EXPECT_FALSE(CM.needsArrivalStamp());
+  EXPECT_FALSE(needsArrivalStamp(P));
+  EXPECT_TRUE(pausesAfterAbort(P));
   Backoff B(1);
-  EXPECT_TRUE(CM.pauseAfterAbort(1, B));
+  EXPECT_TRUE(pauseAfterAbort(P, B));
 }
 
 TEST(CmDecisionTest, KarmaRicherWaitsPoorerYields) {
-  const ContentionManager &CM = managerFor(CmPolicy::Karma);
+  constexpr CmPolicy P = CmPolicy::Karma;
   TestState Rich(0, 500), Poor(0, 10);
   // The richer attacker outwaits the owner, with extended patience.
-  EXPECT_EQ(CM.onConflict(Rich, Poor, 0, 4), ConflictChoice::Wait);
-  EXPECT_EQ(CM.onConflict(Rich, Poor, 31, 4), ConflictChoice::Wait);
-  EXPECT_EQ(CM.onConflict(Rich, Poor, 32, 4), ConflictChoice::AbortSelf);
+  EXPECT_EQ(onConflict(P, Rich, Poor, 0, 4), ConflictChoice::Wait);
+  EXPECT_EQ(onConflict(P, Rich, Poor, 31, 4), ConflictChoice::Wait);
+  EXPECT_EQ(onConflict(P, Rich, Poor, 32, 4), ConflictChoice::AbortSelf);
   // The poorer attacker loses the arbitration outright.
-  EXPECT_EQ(CM.onConflict(Poor, Rich, 0, 4),
+  EXPECT_EQ(onConflict(P, Poor, Rich, 0, 4),
             ConflictChoice::AbortSelfPriority);
   // Ties go to the attacker (it waits): equal karma must not deadlock into
   // mutual priority aborts.
   TestState AlsoRich(0, 500);
-  EXPECT_EQ(CM.onConflict(Rich, AlsoRich, 0, 4), ConflictChoice::Wait);
+  EXPECT_EQ(onConflict(P, Rich, AlsoRich, 0, 4), ConflictChoice::Wait);
+  EXPECT_FALSE(needsArrivalStamp(P));
+  EXPECT_TRUE(pausesAfterAbort(P));
 }
 
 TEST(CmDecisionTest, GreedyOldestWins) {
-  const ContentionManager &CM = managerFor(CmPolicy::TimestampGreedy);
+  constexpr CmPolicy P = CmPolicy::TimestampGreedy;
   TestState Elder(10, 0), Younger(20, 0);
   // The elder attacker outwaits the younger owner (extended patience).
-  EXPECT_EQ(CM.onConflict(Elder, Younger, 0, 4), ConflictChoice::Wait);
-  EXPECT_EQ(CM.onConflict(Elder, Younger, 32, 4), ConflictChoice::AbortSelf);
+  EXPECT_EQ(onConflict(P, Elder, Younger, 0, 4), ConflictChoice::Wait);
+  EXPECT_EQ(onConflict(P, Elder, Younger, 32, 4), ConflictChoice::AbortSelf);
   // The younger attacker yields to the elder at once.
-  EXPECT_EQ(CM.onConflict(Younger, Elder, 0, 4),
+  EXPECT_EQ(onConflict(P, Younger, Elder, 0, 4),
             ConflictChoice::AbortSelfPriority);
   // Unstamped owners (transactions begun outside the retry layer) are
   // arbitrated like backoff: wait, then timeout.
   TestState Unstamped(0, 0);
-  EXPECT_EQ(CM.onConflict(Younger, Unstamped, 0, 4), ConflictChoice::Wait);
-  EXPECT_TRUE(CM.needsArrivalStamp());
+  EXPECT_EQ(onConflict(P, Younger, Unstamped, 0, 4), ConflictChoice::Wait);
+  EXPECT_TRUE(needsArrivalStamp(P));
+  EXPECT_TRUE(pausesAfterAbort(P));
 }
 
 //===----------------------------------------------------------------------===//
@@ -186,7 +194,8 @@ TEST(ConflictWaitRounds, BudgetIsFourRoundsOfThirtyTwoSpins) {
 TEST(ConflictWaitRounds, CountsOncePerConflictByKind) {
   TestState Us(0, 0), Owner(0, 0), Elder(10, 0), Younger(20, 0);
   CmStatsSnapshot Before = CmStats::instance().snapshot();
-  // Ownership: a ConflictWait only when the policy waits.
+  // Both kinds count a wait only when the policy waits: passive never
+  // does and the younger greedy attacker yields at once.
   roundsUntilAbort(CmPolicy::Passive, Us, Owner, ConflictWait::Ownership);
   roundsUntilAbort(CmPolicy::Backoff, Us, Owner, ConflictWait::Ownership);
   roundsUntilAbort(CmPolicy::TimestampGreedy, Younger, Elder,
@@ -195,29 +204,30 @@ TEST(ConflictWaitRounds, CountsOncePerConflictByKind) {
   EXPECT_EQ(Mid.ConflictWaits - Before.ConflictWaits, 1u);
   EXPECT_EQ(Mid.PriorityAborts - Before.PriorityAborts, 1u);
   EXPECT_EQ(Mid.SemanticWaits - Before.SemanticWaits, 0u);
-  // Semantic: a SemanticWait per conflict, whatever the policy decides.
   roundsUntilAbort(CmPolicy::Passive, Us, Owner, ConflictWait::Semantic);
   roundsUntilAbort(CmPolicy::Backoff, Us, Owner, ConflictWait::Semantic);
   roundsUntilAbort(CmPolicy::TimestampGreedy, Younger, Elder,
                    ConflictWait::Semantic);
   CmStatsSnapshot After = CmStats::instance().snapshot();
-  EXPECT_EQ(After.SemanticWaits - Mid.SemanticWaits, 3u);
+  EXPECT_EQ(After.SemanticWaits - Mid.SemanticWaits, 1u);
   EXPECT_EQ(After.SemanticPriorityAborts - Mid.SemanticPriorityAborts, 1u);
   EXPECT_EQ(After.ConflictWaits - Mid.ConflictWaits, 0u);
   EXPECT_EQ(After.PriorityAborts - Mid.PriorityAborts, 0u);
 }
 
 TEST(ConflictWaitRounds, OwnerlessWaitIsBudgetOnly) {
-  // No owner to arbitrate with: every policy, passive included, waits the
-  // budget out and counts nothing.
+  // No owner to rank: a policy waits its own budget capped at the base
+  // budget (passive none, the others 4 rounds) and counts nothing.
   TestState Us(0, 0);
   CmStatsSnapshot Before = CmStats::instance().snapshot();
   for (unsigned I = 0; I < NumCmPolicies; ++I) {
-    ConflictWait Wait(static_cast<CmPolicy>(I), Us, ConflictWait::Semantic);
+    const CmPolicy P = static_cast<CmPolicy>(I);
+    ConflictWait Wait(P, Us, ConflictWait::Semantic);
     unsigned Rounds = 0;
     while (Wait.waitRound())
       ++Rounds;
-    EXPECT_EQ(Rounds, ConflictWait::BudgetRounds);
+    EXPECT_EQ(Rounds, P == CmPolicy::Passive ? 0u : ConflictWait::BudgetRounds)
+        << policyName(P);
   }
   CmStatsSnapshot After = CmStats::instance().snapshot();
   EXPECT_EQ(After.SemanticWaits, Before.SemanticWaits);
@@ -297,7 +307,7 @@ TEST(RetryControllerTest, EscalatesToSerialAfterBudget) {
   CmStatsSnapshot Before = CmStats::instance().snapshot();
   CmTxState St;
   {
-    RetryController Ctl(managerFor(CmPolicy::Passive), St,
+    RetryController Ctl(CmPolicy::Passive, St,
                         /*FallbackAfter=*/2, /*BackoffSeed=*/1);
     // Two failed attempts exhaust the budget...
     Ctl.beforeAttempt(0);
@@ -322,7 +332,7 @@ TEST(RetryControllerTest, EscalatesToSerialAfterBudget) {
 TEST(RetryControllerTest, DestructorReleasesExclusiveGate) {
   CmTxState St;
   {
-    RetryController Ctl(managerFor(CmPolicy::Passive), St,
+    RetryController Ctl(CmPolicy::Passive, St,
                         /*FallbackAfter=*/1, /*BackoffSeed=*/1);
     Ctl.beforeAttempt(0);
     Ctl.afterAbort(0);
@@ -335,7 +345,7 @@ TEST(RetryControllerTest, DestructorReleasesExclusiveGate) {
 
 TEST(RetryControllerTest, ZeroBudgetNeverEscalates) {
   CmTxState St;
-  RetryController Ctl(managerFor(CmPolicy::Passive), St, /*FallbackAfter=*/0,
+  RetryController Ctl(CmPolicy::Passive, St, /*FallbackAfter=*/0,
                       /*BackoffSeed=*/1);
   for (int I = 0; I < 100; ++I) {
     Ctl.beforeAttempt(0);
@@ -347,14 +357,14 @@ TEST(RetryControllerTest, ZeroBudgetNeverEscalates) {
 
 TEST(RetryControllerTest, GreedyTransactionsGetArrivalStamps) {
   CmTxState St;
-  RetryController Ctl(managerFor(CmPolicy::TimestampGreedy), St, 0, 1);
+  RetryController Ctl(CmPolicy::TimestampGreedy, St, 0, 1);
   EXPECT_NE(St.stamp(), 0u);
   CmTxState St2;
-  RetryController Ctl2(managerFor(CmPolicy::TimestampGreedy), St2, 0, 1);
+  RetryController Ctl2(CmPolicy::TimestampGreedy, St2, 0, 1);
   EXPECT_LT(St.stamp(), St2.stamp());
   // Policies that do not rank by age skip the global clock.
   CmTxState St3;
-  RetryController Ctl3(managerFor(CmPolicy::Backoff), St3, 0, 1);
+  RetryController Ctl3(CmPolicy::Backoff, St3, 0, 1);
   EXPECT_EQ(St3.stamp(), 0u);
   Ctl.onFinished();
   Ctl2.onFinished();
