@@ -90,13 +90,17 @@ struct UndoEntry {
 /// One object allocated inside the transaction (freed on abort), or — when
 /// FreeOnCommit is true — an object the transaction logically deleted
 /// (retired to the epoch reclaimer on commit, kept on abort). Raw is the
-/// most-derived pointer matching Destroy's expectation.
+/// most-derived pointer matching Destroy's expectation; an allocation's
+/// Size bytes from Raw are the object an abort skips in undo replay.
 struct AllocEntry {
   TxObject *Obj = nullptr;
   void *Raw = nullptr;
   void (*Destroy)(void *Raw) = nullptr;
   bool FreeOnCommit = false;
+  uint32_t Size = 0; ///< sits in FreeOnCommit's padding
 };
+static_assert(sizeof(AllocEntry) == 4 * sizeof(void *),
+              "AllocEntry::Size must fit in the padding");
 
 /// One deferred commit/abort handler of the boosting tier (DESIGN.md §3.10).
 /// Payload is a TxPool-allocated closure; Invoke runs it, Dispose destroys

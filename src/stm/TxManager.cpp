@@ -201,8 +201,14 @@ void TxManager::rollbackAttempt(AbortTx::Cause Why) {
   // Undo in reverse so multiply-written locations get their oldest value
   // back (only relevant when undo filtering is off and duplicates exist).
   // Snapshot attempts have nothing enlisted, so these walks are no-ops.
-  UndoLog.forEachReverse(
-      [](UndoEntry &Entry) { Entry.Restore(Entry.Addr, Entry.Bits); });
+  if (OTM_LIKELY(AllocLog.empty()))
+    UndoLog.forEachReverse(
+        [](UndoEntry &Entry) { Entry.Restore(Entry.Addr, Entry.Bits); });
+  else
+    UndoLog.forEachReverse([this](UndoEntry &Entry) {
+      if (!inAllocatedObject(Entry.Addr))
+        Entry.Restore(Entry.Addr, Entry.Bits);
+    });
   // Only after every old value is back in place may others see the object.
   releaseOwnershipForAbort();
   // Objects allocated by this attempt are garbage; retire via the epoch
@@ -227,6 +233,17 @@ void TxManager::rollbackAttempt(AbortTx::Cause Why) {
     ++Stats.Aborts;
   Obs.onAbort(auxCauseFor(Why), 0);
   finishAttempt();
+}
+
+bool TxManager::inAllocatedObject(const void *Addr) {
+  const char *P = static_cast<const char *>(Addr);
+  bool Inside = false;
+  AllocLog.forEach([&](AllocEntry &Entry) {
+    const char *Base = static_cast<const char *>(Entry.Raw);
+    if (!Entry.FreeOnCommit && P >= Base && P < Base + Entry.Size)
+      Inside = true;
+  });
+  return Inside;
 }
 
 WordValue TxManager::waitForUnowned(TxObject *Obj) {

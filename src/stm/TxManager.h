@@ -286,7 +286,7 @@ public:
     AllocLog.emplaceBack(static_cast<TxObject *>(Obj),
                          static_cast<void *>(Obj),
                          +[](void *P) { delete static_cast<T *>(P); },
-                         /*FreeOnCommit=*/false);
+                         /*FreeOnCommit=*/false, uint32_t{sizeof(T)});
     ++Stats.Allocations;
   }
 
@@ -569,7 +569,10 @@ public:
 
   /// Rolls the current attempt back (undo, release, free allocations).
   /// Public so the retry loop can clean up after catching AbortTx thrown
-  /// from arbitrary user-frame depth.
+  /// from arbitrary user-frame depth. Undo entries inside objects this
+  /// attempt allocated are not replayed: those objects are discarded, and
+  /// a zombie that reached one through a dirty read must not see its
+  /// fields reset to the constructor's values.
   void rollbackAttempt(AbortTx::Cause Why);
 
   /// GC log-compaction hook (paper's GC integration): deduplicates read and
@@ -610,6 +613,10 @@ private:
   bool validateEntry(const ReadEntry &Entry) const;
   void releaseOwnershipForCommit(uint64_t CommitStamp);
   void releaseOwnershipForAbort();
+
+  /// True if \p Addr lies inside an object this attempt allocated (abort
+  /// path only: a linear scan of the alloc log).
+  bool inAllocatedObject(const void *Addr);
 
   /// Restarts the attempt as a writer (first update barrier in snapshot
   /// mode) / on a fresh snapshot stamp (begin stamp no longer covered by a
