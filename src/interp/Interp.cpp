@@ -16,6 +16,14 @@
 // every benchmark program through both and compares results, prints and
 // dynamic counts.
 //
+// Under ObjStm a top-level atomic_begin hands its region to
+// runAtomicRegion, which makes one stm::Stm::atomic call. The call's body
+// restores the region's live-slot snapshot on a retry and runs a nested
+// loop from the instruction after atomic_begin; the loop returns at the
+// region's atomic_end, and the executor commits, retries, escalates to
+// serial mode or, on a trap, rolls back and lets the trap unwind. Aborts
+// (AbortTx) unwind through interpreted callee frames to that call.
+//
 //===----------------------------------------------------------------------===//
 
 #include "interp/Interp.h"
@@ -25,13 +33,12 @@
 #include "stm/Stm.h"
 #include "support/Compiler.h"
 #include "tmir/Verifier.h"
-#include "txn/RetryExecutor.h"
+#include "txn/Htm.h"
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
-#include <optional>
 
 using namespace otm;
 using namespace otm::interp;
@@ -87,34 +94,20 @@ uintptr_t frameAddress() {
   return reinterpret_cast<uintptr_t>(__builtin_frame_address(0));
 }
 
-/// Monotone work counter for karma accrual (same measure as Stm::atomic).
-uint64_t txOpCount(stm::TxManager &Tx) {
-  const stm::TxStats &S = Tx.stats();
-  return S.OpensForRead + S.OpensForUpdate + S.UndoLogAppends;
-}
-
 } // namespace
 
 struct Interpreter::Frame {
   const DecodedFunction *DF = nullptr;
   /// Unified slot file: [registers | locals | constants].
   std::vector<int64_t> Slots;
-  bool OwnsTx = false;
+  /// True while this frame runs a top-level atomic region. The retry
+  /// snapshot holds the values of the region's live-slot window (slot
+  /// indices Pool[SnapPoolOff .. SnapPoolOff+SnapCount) of the decoded
+  /// function); the collector marks them as roots.
   bool HasSnapshot = false;
-  /// Forced-abort cycles already taken for the current region
-  /// (Options::ForceRetries testing hook).
-  uint32_t ForcedRetries = 0;
-  /// Retry snapshot: flat pc of the owning atomic_begin plus the values of
-  /// its live-slot window (slot indices are Pool[SnapPoolOff ..
-  /// SnapPoolOff+SnapCount) of the decoded function).
-  uint32_t SnapPc = 0;
   uint32_t SnapPoolOff = 0;
   uint32_t SnapCount = 0;
   std::vector<int64_t> SnapVals;
-  /// Retry sequencing for the atomic region this frame owns. Lives across
-  /// snapshot-restart retries of one region; unwinding the frame on a trap
-  /// releases any serial-gate state through the controller's destructor.
-  std::optional<txn::RetryController> Ctl;
 };
 
 namespace {
@@ -157,6 +150,10 @@ HeapObject *Interpreter::makeArray(std::size_t Length) {
 
 void Interpreter::collectGarbage() {
   stm::TxManager &Tx = stm::TxManager::current();
+  // Sweeping frees memory, which a hardware abort cannot undo: run the
+  // attempt in software instead (the rule TxManager::recordAlloc follows).
+  if (OTM_UNLIKELY(Tx.inHtmMode()))
+    txn::htm::abortWith<txn::htm::CodeUnsupported>();
   obs::TraceRing *Ring = obs::TraceRing::forCurrentThread();
   OTM_TRACE_EVENT(Ring, obs::EventKind::GcBegin, nullptr, 0);
   TheHeap.collect([&](auto Mark) {
@@ -232,10 +229,8 @@ Interpreter::RunResult Interpreter::run(const std::string &Name,
   } catch (const TrapError &T) {
     Result.Trapped = true;
     Result.Error = T.Msg;
-    // Clean up any transactional or lock state the trap interrupted.
-    stm::TxManager &Tx = stm::TxManager::current();
-    if (Tx.inTx())
-      Tx.rollbackAttempt(stm::AbortTx::Cause::User);
+    // Stm::atomic rolled back an interrupted region; release the global
+    // lock a GlobalLock region held.
     while (GlobalLockDepth > 0) {
       globalTxMutex().unlock();
       --GlobalLockDepth;
@@ -245,17 +240,6 @@ Interpreter::RunResult Interpreter::run(const std::string &Name,
   Counts.add(D);
   Counts.ActiveRuns.fetch_sub(1, std::memory_order_relaxed);
   return Result;
-}
-
-uint32_t Interpreter::failedAttemptResume(Frame &Fr, DynCounts::Delta &D) {
-  const DecodedFunction &DF = *Fr.DF;
-  const uint32_t *Window = DF.Pool.data() + Fr.SnapPoolOff;
-  for (uint32_t K = 0; K < Fr.SnapCount; ++K)
-    Fr.Slots[Window[K]] = Fr.SnapVals[K];
-  Fr.OwnsTx = false;
-  ++D.TxRetried;
-  Fr.Ctl->afterAbort(txOpCount(stm::TxManager::current()));
-  return Fr.SnapPc;
 }
 
 int64_t Interpreter::execFunction(const DecodedFunction &DF,
@@ -278,20 +262,48 @@ int64_t Interpreter::execFunction(const DecodedFunction &DF,
       Opts.Mode == TxMode::ObjStm && Opts.ValidateEveryNInstrs
           ? Opts.ValidateEveryNInstrs
           : ~uint64_t(0);
+  return execLoop(Fr, 0, D, Reload);
+}
 
-  uint32_t Pc = 0;
-  for (;;) {
-    try {
-      return Opts.Loop == Dispatch::Threaded
-                 ? execThreadedLoop(Fr, Pc, D, Reload)
-                 : execSwitchLoop(Fr, Pc, D, Reload);
-    } catch (const stm::AbortTx &Reason) {
-      if (!Fr.OwnsTx)
-        throw; // unwind to the frame that owns the transaction
-      stm::TxManager::current().rollbackAttempt(Reason.Why);
-      Pc = failedAttemptResume(Fr, D); // resume from the atomic_begin
+uint32_t Interpreter::runAtomicRegion(Frame &Fr, uint32_t BeginPc,
+                                      DynCounts::Delta &D,
+                                      uint64_t ValidateReload) {
+  // Snapshot the slots live across the region (the decoder's window) so
+  // that every retry starts from the values the first attempt saw.
+  const DecodedFunction &DF = *Fr.DF;
+  const DInstr &Begin = DF.Code[BeginPc];
+  const uint32_t *Window = DF.Pool.data() + Begin.A;
+  Fr.SnapPoolOff = Begin.A;
+  Fr.SnapCount = Begin.B;
+  Fr.SnapVals.resize(Begin.B);
+  for (uint32_t K = 0; K < Begin.B; ++K)
+    Fr.SnapVals[K] = Fr.Slots[Window[K]];
+  Fr.HasSnapshot = true;
+  uint32_t Attempts = 0;
+  uint32_t EndPc = 0;
+  stm::Stm::atomic([&](stm::TxManager &) {
+    if (Attempts++ != 0) {
+      for (uint32_t K = 0; K < Begin.B; ++K)
+        Fr.Slots[Window[K]] = Fr.SnapVals[K];
+      ++D.Instrs; // a retry re-executes the atomic_begin
+      ++D.TxRetried;
     }
-  }
+    ++D.TxStarted;
+    EndPc = static_cast<uint32_t>(execLoop(Fr, BeginPc + 1, D, ValidateReload));
+    // Testing hook: abort the attempt as if a conflict had been seen.
+    if (OTM_UNLIKELY(Attempts <= Opts.ForceRetries))
+      throw stm::AbortTx{stm::AbortTx::Cause::Conflict};
+  });
+  Fr.HasSnapshot = false;
+  ++D.TxCommitted;
+  return EndPc;
+}
+
+int64_t Interpreter::execLoop(Frame &Fr, uint32_t Pc, DynCounts::Delta &D,
+                              uint64_t ValidateReload) {
+  return Opts.Loop == Dispatch::Threaded
+             ? execThreadedLoop(Fr, Pc, D, ValidateReload)
+             : execSwitchLoop(Fr, Pc, D, ValidateReload);
 }
 
 int64_t Interpreter::execSwitchLoop(Frame &Fr, uint32_t Pc,

@@ -24,11 +24,15 @@
 ///   - IgnoreAtomic — region markers are no-ops (sequential baseline);
 ///   - GlobalLock   — each region runs under one global recursive mutex
 ///                    (the coarse-lock baseline);
-///   - ObjStm       — regions are real STM transactions with retry: at
-///                    AtomicBegin the slots the decoder proved live across
-///                    the region are snapshotted; a conflict or failed
-///                    commit rolls the STM back and resumes from the
-///                    snapshot.
+///   - ObjStm       — a top-level region is one stm::Stm::atomic call, so
+///                    it takes the same retry ladder as every other
+///                    transaction (hardware, software retry, serial
+///                    fallback). The slots the decoder proved live across
+///                    the region are snapshotted at atomic_begin; each
+///                    attempt restores them and runs the region's code up
+///                    to its atomic_end, and the executor commits, retries
+///                    or rolls back. Regions reached inside a running
+///                    transaction (through calls) flatten into it.
 ///
 /// Multiple threads may call run() concurrently (each gets its own frame
 /// stack); the GC trigger must stay disabled in that case (see Heap).
@@ -170,13 +174,20 @@ public:
 private:
   int64_t execFunction(const DecodedFunction &DF, const int64_t *Args,
                        std::size_t NumArgs, DynCounts::Delta &D);
+  /// Runs the top-level atomic region that begins at instruction \p
+  /// BeginPc of \p Fr as one stm::Stm::atomic call; returns the pc of the
+  /// atomic_end that closed it.
+  uint32_t runAtomicRegion(Frame &Fr, uint32_t BeginPc, DynCounts::Delta &D,
+                           uint64_t ValidateReload);
+  /// Runs \p Fr from \p Pc on the configured loop. Returns the value of
+  /// the function's ret or, inside runAtomicRegion, the pc of the region's
+  /// atomic_end.
+  int64_t execLoop(Frame &Fr, uint32_t Pc, DynCounts::Delta &D,
+                   uint64_t ValidateReload);
   int64_t execSwitchLoop(Frame &Fr, uint32_t Pc, DynCounts::Delta &D,
                          uint64_t ValidateReload);
   int64_t execThreadedLoop(Frame &Fr, uint32_t Pc, DynCounts::Delta &D,
                            uint64_t ValidateReload);
-  /// Restores the owning frame's snapshot after a rolled-back attempt and
-  /// sequences the retry; returns the pc to resume at (the atomic_begin).
-  uint32_t failedAttemptResume(Frame &Fr, DynCounts::Delta &D);
 
   tmir::Module &M;
   Options Opts;
