@@ -29,7 +29,6 @@
 #include "support/Backoff.h"
 #include "support/ChunkedVector.h"
 #include "support/Compiler.h"
-#include "txn/Htm.h"
 #include "txn/RetryExecutor.h"
 #include "wstm/VersionedLock.h"
 #include "wstm/WriteSet.h"
@@ -86,17 +85,6 @@ public:
   /// TL2 read barrier: pre-validate lock, load, post-validate lock.
   template <typename T> T read(const WCell<T> &Cell) {
     assert(inTx() && "wstm read outside transaction");
-    if (OTM_UNLIKELY(HtmMode)) {
-      // Hardware path: the transactional load of the stripe word is the
-      // whole protocol — any software locker's CAS aborts this region. No
-      // read set, no post-validate. A currently-locked stripe means a
-      // software commit is mid-flight; yield to it explicitly.
-      ++Stats.OpensForRead;
-      if (OTM_UNLIKELY(
-              VersionedLock::isLocked(LockTable::global().lockFor(&Cell).load())))
-        txn::htm::abortWith<txn::htm::CodeLocked>();
-      return Cell.load();
-    }
     ++Stats.OpensForRead;
     OTM_TRACE_OPEN_EVENT(Obs.Ring, obs::EventKind::OpenForRead, &Cell,
                     obs::AuxWordStm);
@@ -121,20 +109,6 @@ public:
   /// TL2 write barrier: buffer the value in the redo log.
   template <typename T> void write(WCell<T> &Cell, T Value) {
     assert(inTx() && "wstm write outside transaction");
-    if (OTM_UNLIKELY(HtmMode)) {
-      // Hardware path: write in place and advance the stripe version
-      // speculatively, so software readers that raced past us revalidate
-      // against the bumped version when we commit. One clock stamp per
-      // region, fetched lazily — the RMW joins the transaction, so a
-      // surviving region held the clock's latest value at commit.
-      ++Stats.OpensForUpdate;
-      VersionedLock &Lock = LockTable::global().lockFor(&Cell);
-      if (OTM_UNLIKELY(VersionedLock::isLocked(Lock.load())))
-        txn::htm::abortWith<txn::htm::CodeLocked>();
-      Lock.unlockToVersion(htmStamp());
-      Cell.store(Value);
-      return;
-    }
     ++Stats.OpensForUpdate;
     OTM_TRACE_OPEN_EVENT(Obs.Ring, obs::EventKind::OpenForUpdate, &Cell,
                     obs::AuxWordStm);
@@ -144,8 +118,6 @@ public:
 
   /// Registers a transaction-locally allocated object (deleted on abort).
   template <typename T> void recordAlloc(T *Obj) {
-    if (OTM_UNLIKELY(HtmMode))
-      txn::htm::abortWith<txn::htm::CodeUnsupported>();
     Allocs.emplaceBack(static_cast<void *>(Obj),
                        +[](void *P) { delete static_cast<T *>(P); },
                        /*FreeOnCommit=*/false);
@@ -154,8 +126,6 @@ public:
 
   /// Defers deletion of \p Obj to a successful commit (epoch-retired).
   template <typename T> void retireOnCommit(T *Obj) {
-    if (OTM_UNLIKELY(HtmMode))
-      txn::htm::abortWith<txn::htm::CodeUnsupported>();
     Allocs.emplaceBack(static_cast<void *>(Obj),
                        +[](void *P) { delete static_cast<T *>(P); },
                        /*FreeOnCommit=*/true);
@@ -183,46 +153,6 @@ public:
   /// Contention-management state (read cross-thread by attackers that find
   /// this descriptor's tag in a locked stripe).
   txn::CmTxState &cmState() { return CmState; }
-
-  // Hardware (RTM) execution mode — see DESIGN.md §3.12 and the matching
-  // surface on stm::TxManager. The executor calls prepare/unpin outside
-  // the region and enter/commit inside it.
-  bool inHtmMode() const { return HtmMode; }
-  void htmPrepare() {
-    ++Stats.HtmAttempts;
-    EPin.pin(); // must precede xbegin: a speculative pin protects nothing
-  }
-  void htmUnpin() { EPin.unpin(); }
-  void htmEnter() {
-    Depth = 1;
-    HtmMode = true;
-    HtmStamped = false;
-    ++Stats.Starts;
-    Obs.onBegin(obs::AuxWordStm);
-  }
-  void htmCommit() {
-    ++Stats.Commits;
-    ++Stats.HtmCommits; // inside the region: rolls back with it, so exact
-    Obs.onCommit(obs::AuxWordStm, Stats.CommitTscCycles,
-                 Stats.RetriesPerCommit);
-    HtmMode = false;
-    Depth = 0;
-  }
-  void htmAbortReset() {
-    // The region's speculative state (including htmEnter's effects) is
-    // already gone; only the non-speculative flags need clearing.
-    HtmMode = false;
-    Depth = 0;
-  }
-  void htmNoteUserAbort() {
-    // Unreachable today (the word STM has no user-abort surface), but the
-    // executor contract requires the hook; account it like a software
-    // no-retry abort.
-    ++Stats.Starts;
-    ++Stats.Aborts;
-    ++Stats.AbortsByUser;
-    Obs.onAbort(obs::AuxCauseUser, obs::AuxWordStm);
-  }
 
 private:
   WTxManager() = default;
@@ -272,18 +202,6 @@ private:
   /// Clears all per-attempt state and unpins the epoch.
   void finish();
 
-  /// One global-clock stamp per hardware region, fetched lazily on the
-  /// first write barrier. The fetch_add joins the region: if anyone else
-  /// touches the clock before we commit, we abort, so a surviving region's
-  /// stamp is effectively a commit-time stamp — unique and monotone.
-  uint64_t htmStamp() {
-    if (!HtmStamped) {
-      HtmStampVal = 1 + clock().fetch_add(1, std::memory_order_acq_rel);
-      HtmStamped = true;
-    }
-    return HtmStampVal;
-  }
-
   unsigned Depth = 0;
   uint64_t ReadVersion = 0;
   stm::TxConfig ActiveConfig;
@@ -295,9 +213,6 @@ private:
   stm::TxStats Stats;
   obs::TxObs Obs;
   txn::CmTxState CmState;
-  bool HtmMode = false;
-  bool HtmStamped = false;
-  uint64_t HtmStampVal = 0;
 
   /// Cached per-thread pin handle (same rationale as stm::TxManager).
   gc::EpochManager::ThreadPin EPin = gc::EpochManager::global().threadPin();
@@ -305,7 +220,10 @@ private:
 
 /// Binds txn::RetryExecutor to the word STM: WAbort is the abort protocol,
 /// read/write barriers are the karma work measure. Policy knobs are shared
-/// with the object STM through the process-wide TxConfig.
+/// with the object STM through the process-wide TxConfig. The adapter
+/// defines no hardware hooks, so every word-STM transaction runs in
+/// software whatever TxConfig::HtmAttempts says: this STM is the paper's
+/// TL2 baseline, timed against the object STM in software only.
 struct WstmRetryAdapter {
   using Manager = WTxManager;
 
@@ -350,17 +268,6 @@ struct WstmRetryAdapter {
   static obs::Histogram *backoffHistogram(Manager &Tx) {
     return &Tx.stats().PhaseBackoffCycles;
   }
-
-  // Hardware rung (DESIGN.md §3.12); same shape as StmRetryAdapter's.
-  static unsigned htmAttempts() {
-    return stm::TxManager::config().HtmAttempts;
-  }
-  static void htmPrepare(Manager &Tx) { Tx.htmPrepare(); }
-  static void htmEnter(Manager &Tx) { Tx.htmEnter(); }
-  static void htmCommit(Manager &Tx) { Tx.htmCommit(); }
-  static void htmAbortReset(Manager &Tx) { Tx.htmAbortReset(); }
-  static void htmUnpin(Manager &Tx) { Tx.htmUnpin(); }
-  static void htmUserAbort(Manager &Tx) { Tx.htmNoteUserAbort(); }
 };
 
 /// Public entry point mirroring stm::Stm::atomic for the baseline STM:
