@@ -33,7 +33,7 @@ struct TxConfig {
   bool FilterUndo = true;
 
   /// Contention-management policy consulted in every txn::ConflictWait and
-  /// between retry attempts (both STMs and the interpreter). Defaults to
+  /// between retry attempts (both STMs). Defaults to
   /// the OTM_CM environment variable (passive|backoff|karma|greedy),
   /// falling back to backoff — the pre-txn-layer behaviour.
   txn::CmPolicy ContentionPolicy = txn::policyFromEnv(txn::CmPolicy::Backoff);

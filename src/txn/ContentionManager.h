@@ -7,7 +7,7 @@
 /// \file
 /// The contention-management layer: *what happens on conflict* is a policy,
 /// not a hard-coded heuristic. A policy is one row of CmRules; both STMs
-/// and the interpreter consult it at their two decision points:
+/// consult it at their two decision points:
 ///
 ///   - onConflict: attacker-side arbitration while another transaction owns
 ///     the resource we want — keep waiting for the owner, or abort
