@@ -156,7 +156,6 @@ public:
   Heap &heap() { return TheHeap; }
   DynCounts &counts() { return Counts; }
   const std::vector<int64_t> &printedValues() const { return Printed; }
-  void clearPrinted() { Printed.clear(); }
 
   /// Allocates an object/array usable as a run() argument (setup phases).
   /// An unknown class name is a fatal error in every build mode.

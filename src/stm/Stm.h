@@ -94,7 +94,6 @@ struct StmRetryAdapter {
     const TxStats &S = Tx.stats();
     return S.OpensForRead + S.OpensForUpdate + S.UndoLogAppends;
   }
-  static uint32_t siteId(Manager &Tx) { return Tx.siteId(); }
   static txn::CmTxState &cmState(Manager &Tx) { return Tx.cmState(); }
   static txn::CmPolicy policy() {
     return TxManager::config().ContentionPolicy;

@@ -63,8 +63,7 @@ struct TxConfig {
   /// Parses a numeric environment value (null when unset): \p Default
   /// unless the whole value is a decimal number that fits an unsigned. A
   /// typo such as "on", "" or "12x" must not read as 0, which turns the
-  /// knob's tier off. Out of line: the parse runs once per process, and
-  /// every config() caller inlines TxConfig's constructor.
+  /// knob's tier off. Out of line: it runs only when a TxConfig is built.
   OTM_NOINLINE static unsigned envCount(const char *E, unsigned Default) {
     if (!E)
       return Default;

@@ -33,6 +33,8 @@ struct TlsHolder {
 
 constinit thread_local TxManager *otm::stm::detail::CurrentTxPtr = nullptr;
 
+TxConfig otm::stm::detail::GlobalConfig;
+
 TxManager &TxManager::currentSlow() {
   static thread_local TlsHolder Holder;
   Holder.Manager = new TxManager();

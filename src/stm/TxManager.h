@@ -87,6 +87,15 @@ namespace detail {
 /// compile to a direct TLS load with no init-wrapper call — this sits on
 /// the entry path of every top-level transaction.
 extern constinit thread_local TxManager *CurrentTxPtr;
+
+/// The process-wide configuration behind TxManager::config(). A plain
+/// namespace-scope object defined in TxManager.cpp, so a read from any
+/// translation unit is one load with no initialization guard. Its dynamic
+/// initializer applies the environment (OTM_CM, OTM_RETRY_BUDGET, ...)
+/// before main. A reader that runs during static initialization, before
+/// TxManager.cpp's initializers, sees the zero-filled object: filters off,
+/// CmPolicy::Passive and every count 0. No library code reads it then.
+extern TxConfig GlobalConfig;
 } // namespace detail
 
 /// Each thread's manager is heap-allocated once and lives for the process;
@@ -104,12 +113,9 @@ public:
   }
 
   /// Process-wide configuration; sampled at begin() of each transaction.
-  /// Inline: the retry layer reads the policy knobs once or twice per
-  /// transaction, and an out-of-line call costs more than the access.
-  static TxConfig &config() {
-    static TxConfig Config;
-    return Config;
-  }
+  /// Inline and guard-free: the retry layer reads the policy knobs once or
+  /// twice per transaction (see detail::GlobalConfig).
+  static TxConfig &config() { return detail::GlobalConfig; }
 
   TxManager(const TxManager &) = delete;
   TxManager &operator=(const TxManager &) = delete;
@@ -543,7 +549,6 @@ public:
   txn::CmTxState &cmState() { return CmState; }
 
   std::size_t readLogSizeForTesting() const { return ReadLog.size(); }
-  std::size_t updateLogSizeForTesting() const { return UpdateLog.size(); }
   std::size_t undoLogSizeForTesting() const { return UndoLog.size(); }
 
   /// Samples this attempt's footprint into \p S as Bloom fingerprints over

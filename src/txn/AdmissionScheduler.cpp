@@ -6,7 +6,6 @@
 
 #include "txn/AdmissionScheduler.h"
 
-#include "obs/AbortSites.h"
 #include "obs/Telemetry.h"
 #include "obs/TraceRing.h" // OTM_OBS_ENABLE default
 
@@ -46,11 +45,6 @@ AdmissionScheduler &AdmissionScheduler::instance() {
 AdmissionScheduler::AdmissionScheduler() {
   Mode.store(schedModeFromEnv(std::getenv("OTM_SCHED")),
              std::memory_order_relaxed);
-  if (const char *E = std::getenv("OTM_SCHED_QUEUE")) {
-    long V = std::atol(E);
-    if (V > 0)
-      QueueCap = static_cast<unsigned>(V);
-  }
 }
 
 int32_t AdmissionScheduler::tryInstall(Shard &Sh, uint32_t ClassId,
@@ -127,7 +121,7 @@ AdmissionScheduler::Ticket AdmissionScheduler::admit(uint32_t ClassId,
   W.S = &S;
   W.ClassId = ClassId;
   Sh.Queue.push_back(&W);
-  QueuedCount.fetch_add(1, std::memory_order_relaxed);
+  Queued.fetch_add(1, std::memory_order_relaxed);
   maxRelaxed(MaxQueueDepth, Sh.Queue.size());
 
   auto WaitStart = std::chrono::steady_clock::now();
@@ -162,11 +156,10 @@ AdmissionScheduler::Ticket AdmissionScheduler::admit(uint32_t ClassId,
   return T;
 }
 
-void AdmissionScheduler::release(Ticket &T, uint64_t AbortedAttempts,
-                                 uint32_t VictimSite) {
+void AdmissionScheduler::release(Ticket &T, uint64_t AbortedAttempts) {
   Releases.fetch_add(1, std::memory_order_relaxed);
   AbortsReported.fetch_add(AbortedAttempts, std::memory_order_relaxed);
-  recordRelease(T.ClassId, AbortedAttempts, VictimSite);
+  recordRelease(T.ClassId, AbortedAttempts);
   if (T.Slot < 0)
     return;
   Shard &Sh = Shards[T.Shard];
@@ -185,11 +178,8 @@ void AdmissionScheduler::release(Ticket &T, uint64_t AbortedAttempts,
 }
 
 void AdmissionScheduler::recordRelease(uint32_t ClassId,
-                                       uint64_t AbortedAttempts,
-                                       uint32_t VictimSite) {
+                                       uint64_t AbortedAttempts) {
   ClassGate &G = Gates[ClassId % NumClasses];
-  if (VictimSite)
-    G.VictimSite.store(VictimSite, std::memory_order_relaxed);
   G.WindowAborts.fetch_add(AbortedAttempts, std::memory_order_relaxed);
   uint64_t R = G.WindowReleases.fetch_add(1, std::memory_order_relaxed) + 1;
   if (R < GateWindow)
@@ -204,20 +194,8 @@ void AdmissionScheduler::recordRelease(uint32_t ClassId,
 }
 
 void AdmissionScheduler::recomputeGate(ClassGate &G, uint64_t WindowAborts) {
-  // Cross-check caller feedback against the conflict-graph edge table: the
-  // victim-site total covers aborts this class suffered through *any* path
-  // (including ones the caller could not attribute). Clamped delta — the
-  // bench harness resets AbortSites between cells, shrinking the total.
-  uint64_t Aborts = WindowAborts;
-#if OTM_OBS_ENABLE
-  if (uint32_t Site = G.VictimSite.load(std::memory_order_relaxed)) {
-    uint64_t Total = victimEdgeTotal(Site);
-    uint64_t Prev = G.PrevEdgeTotal.exchange(Total, std::memory_order_relaxed);
-    uint64_t Delta = Total >= Prev ? Total - Prev : Total;
-    Aborts = std::max(Aborts, Delta);
-  }
-#endif
-  double Rate = static_cast<double>(Aborts) / static_cast<double>(GateWindow);
+  double Rate =
+      static_cast<double>(WindowAborts) / static_cast<double>(GateWindow);
   bool On = G.On.load(std::memory_order_relaxed);
   if (!On && Rate >= GateOnRate) {
     G.On.store(true, std::memory_order_relaxed);
@@ -230,31 +208,11 @@ void AdmissionScheduler::recomputeGate(ClassGate &G, uint64_t WindowAborts) {
   }
 }
 
-uint64_t AdmissionScheduler::victimEdgeTotal(uint32_t Site) {
-  if (!Site)
-    return 0;
-  uint64_t Total = 0;
-  for (const obs::AbortSites::Edge &E :
-       obs::AbortSites::instance().topEdges(obs::AbortSites::edgeCapacity()))
-    if (E.Victim == Site)
-      Total += E.total();
-  return Total;
-}
-
 SchedStatsSnapshot AdmissionScheduler::stats() const {
   SchedStatsSnapshot S;
-  S.AdmittedImmediate = AdmittedImmediate.load(std::memory_order_relaxed);
-  S.Queued = QueuedCount.load(std::memory_order_relaxed);
-  S.QueueOverflows = QueueOverflows.load(std::memory_order_relaxed);
-  S.TimeoutBypasses = TimeoutBypasses.load(std::memory_order_relaxed);
-  S.Bypassed = Bypassed.load(std::memory_order_relaxed);
-  S.Releases = Releases.load(std::memory_order_relaxed);
-  S.AbortsReported = AbortsReported.load(std::memory_order_relaxed);
-  S.GateFlipsOn = GateFlipsOn.load(std::memory_order_relaxed);
-  S.GateFlipsOff = GateFlipsOff.load(std::memory_order_relaxed);
-  S.GatesOn = GatesOn.load(std::memory_order_relaxed);
-  S.MaxQueueDepth = MaxQueueDepth.load(std::memory_order_relaxed);
-  S.QueueWaitMicros = QueueWaitMicros.load(std::memory_order_relaxed);
+#define OTM_X(Name, Key) S.Name = Name.load(std::memory_order_relaxed);
+  OTM_SCHED_COUNTERS(OTM_X)
+#undef OTM_X
   return S;
 }
 
@@ -271,23 +229,12 @@ void AdmissionScheduler::resetForTesting() {
   }
   for (ClassGate &G : Gates) {
     G.On.store(false, std::memory_order_relaxed);
-    G.VictimSite.store(0, std::memory_order_relaxed);
     G.WindowReleases.store(0, std::memory_order_relaxed);
     G.WindowAborts.store(0, std::memory_order_relaxed);
-    G.PrevEdgeTotal.store(0, std::memory_order_relaxed);
   }
-  AdmittedImmediate.store(0, std::memory_order_relaxed);
-  QueuedCount.store(0, std::memory_order_relaxed);
-  QueueOverflows.store(0, std::memory_order_relaxed);
-  TimeoutBypasses.store(0, std::memory_order_relaxed);
-  Bypassed.store(0, std::memory_order_relaxed);
-  Releases.store(0, std::memory_order_relaxed);
-  AbortsReported.store(0, std::memory_order_relaxed);
-  GateFlipsOn.store(0, std::memory_order_relaxed);
-  GateFlipsOff.store(0, std::memory_order_relaxed);
-  GatesOn.store(0, std::memory_order_relaxed);
-  MaxQueueDepth.store(0, std::memory_order_relaxed);
-  QueueWaitMicros.store(0, std::memory_order_relaxed);
+#define OTM_X(Name, Key) Name.store(0, std::memory_order_relaxed);
+  OTM_SCHED_COUNTERS(OTM_X)
+#undef OTM_X
 }
 
 obs::JsonValue schedStatsToJson() {
@@ -307,18 +254,9 @@ obs::JsonValue schedStatsToJson() {
   obs::JsonValue V = obs::JsonValue::object();
   V.set("enabled", true); // schema key; the tier is always built
   V.set("mode", ModeName);
-  V.set("admitted_immediate", S.AdmittedImmediate);
-  V.set("queued", S.Queued);
-  V.set("queue_overflows", S.QueueOverflows);
-  V.set("timeout_bypasses", S.TimeoutBypasses);
-  V.set("bypassed", S.Bypassed);
-  V.set("releases", S.Releases);
-  V.set("aborts_reported", S.AbortsReported);
-  V.set("gate_flips_on", S.GateFlipsOn);
-  V.set("gate_flips_off", S.GateFlipsOff);
-  V.set("gates_on", S.GatesOn);
-  V.set("max_queue_depth", S.MaxQueueDepth);
-  V.set("queue_wait_us", S.QueueWaitMicros);
+#define OTM_X(Name, Key) V.set(Key, S.Name);
+  OTM_SCHED_COUNTERS(OTM_X)
+#undef OTM_X
   return V;
 }
 

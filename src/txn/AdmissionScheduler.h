@@ -31,11 +31,8 @@
 ///
 ///   - Admission costs a lock+scan per transaction, which only pays for
 ///     itself under contention. A per-class adaptive gate therefore keeps
-///     admission OFF until the measured abort rate of that class crosses a
-///     threshold, and turns it back off when the storm passes. The rate is
-///     fed by caller-reported aborted attempts and cross-checked against
-///     the per-victim abort totals of the obs::AbortSites conflict-graph
-///     edge table (the same table the topology work consumes).
+///     admission OFF until the abort rate its callers report for that class
+///     crosses a threshold, and turns it back off when the storm passes.
 ///
 /// Classes partition the key-space convention: summaries are only compared
 /// within one class (one container / one request family), so declared
@@ -81,21 +78,29 @@ enum class SchedMode : uint8_t {
 /// surprising a bench with a typo'd full-off.
 SchedMode schedModeFromEnv(const char *E);
 
+/// X(Name, JsonKey) per scheduler counter: the field inventory exists once,
+/// so the snapshot, the atomics, stats(), resetForTesting() and the JSON
+/// cannot desync.
+#define OTM_SCHED_COUNTERS(X)                                                  \
+  X(AdmittedImmediate, "admitted_immediate") /* compatible: ran at once */     \
+  X(Queued, "queued")                        /* parked in a shard FIFO */      \
+  X(QueueOverflows, "queue_overflows")       /* queue full: speculated */      \
+  X(TimeoutBypasses, "timeout_bypasses")     /* waited too long: speculated */ \
+  X(Bypassed, "bypassed")                    /* mode or class gate off */      \
+  X(Releases, "releases")                    /* transactions reported back */  \
+  X(AbortsReported, "aborts_reported")       /* aborted attempts reported */   \
+  X(GateFlipsOn, "gate_flips_on")            /* gates armed by abort storms */ \
+  X(GateFlipsOff, "gate_flips_off")          /* gates disarmed after calm */   \
+  X(GatesOn, "gates_on")                     /* gauge: classes gated on */     \
+  X(MaxQueueDepth, "max_queue_depth")        /* high-water mark, all shards */ \
+  X(QueueWaitMicros, "queue_wait_us")        /* total time parked (nd) */
+
 /// Plain snapshot of the scheduler counters (relaxed reads; same memory-
 /// order policy as the other stats blocks).
 struct SchedStatsSnapshot {
-  uint64_t AdmittedImmediate = 0; ///< compatible on arrival, ran at once
-  uint64_t Queued = 0;            ///< parked in a shard FIFO at least once
-  uint64_t QueueOverflows = 0;    ///< queue full: fell back to speculation
-  uint64_t TimeoutBypasses = 0;   ///< outwaited the budget: speculated
-  uint64_t Bypassed = 0;          ///< admission off (mode or class gate)
-  uint64_t Releases = 0;          ///< transactions that reported back
-  uint64_t AbortsReported = 0;    ///< aborted attempts across all releases
-  uint64_t GateFlipsOn = 0;       ///< adaptive gates armed by abort storms
-  uint64_t GateFlipsOff = 0;      ///< adaptive gates disarmed after calm
-  uint64_t GatesOn = 0;           ///< gauge: classes currently gated on
-  uint64_t MaxQueueDepth = 0;     ///< high-water mark across all shards
-  uint64_t QueueWaitMicros = 0;   ///< total time spent parked (nd)
+#define OTM_X(Name, Key) uint64_t Name = 0;
+  OTM_SCHED_COUNTERS(OTM_X)
+#undef OTM_X
 };
 
 class AdmissionScheduler {
@@ -132,10 +137,8 @@ public:
 
   /// Reports the transaction done. \p AbortedAttempts is how many times
   /// the STM below still aborted it (0 for a clean run) — the adaptive
-  /// gate's primary feedback; \p VictimSite optionally names the executing
-  /// thread's obs site id so the gate can cross-check the AbortSites
-  /// conflict-graph edge table. Must be called exactly once per admit().
-  void release(Ticket &T, uint64_t AbortedAttempts, uint32_t VictimSite = 0);
+  /// gate's only input. Must be called exactly once per admit().
+  void release(Ticket &T, uint64_t AbortedAttempts);
 
   SchedMode mode() const { return Mode.load(std::memory_order_relaxed); }
   void setMode(SchedMode M) { Mode.store(M, std::memory_order_relaxed); }
@@ -195,20 +198,12 @@ private:
     std::deque<Waiter *> Queue;
   };
 
-  /// Per-class adaptive gate: a sliding window of release feedback plus
-  /// the clamped delta of this class's victim-site abort total from the
-  /// AbortSites edge table.
+  /// Per-class adaptive gate: a window of release feedback.
   struct ClassGate {
     std::atomic<bool> On{false};
-    std::atomic<uint32_t> VictimSite{0};
     std::atomic<uint64_t> WindowReleases{0};
     std::atomic<uint64_t> WindowAborts{0};
-    std::atomic<uint64_t> PrevEdgeTotal{0};
   };
-
-  Shard &shardFor(uint32_t ClassId) {
-    return Shards[ClassId & (NumShards - 1)];
-  }
 
   /// Caller holds the shard mutex. Returns the granted slot index, or -1
   /// when \p S conflicts with an active same-class summary (or no slot is
@@ -221,14 +216,8 @@ private:
   /// FIFO order until the head is incompatible (or the queue empties).
   void drainQueueLocked(Shard &Sh);
 
-  void recordRelease(uint32_t ClassId, uint64_t AbortedAttempts,
-                     uint32_t VictimSite);
+  void recordRelease(uint32_t ClassId, uint64_t AbortedAttempts);
   void recomputeGate(ClassGate &G, uint64_t WindowAborts);
-
-  /// Sum of the AbortSites conflict-graph edge totals whose victim is
-  /// \p Site (0 -> 0). Linear scan of the bounded edge table; runs once
-  /// per gate window, not per transaction.
-  static uint64_t victimEdgeTotal(uint32_t Site);
 
   Shard Shards[NumShards];
   ClassGate Gates[NumClasses];
@@ -240,19 +229,9 @@ private:
   double GateOffRate = 0.01; ///< ... and disarm it (hysteresis)
   std::chrono::microseconds WaitBudget{100000}; // 100ms safety valve
 
-  // Counters (names match SchedStatsSnapshot).
-  std::atomic<uint64_t> AdmittedImmediate{0};
-  std::atomic<uint64_t> QueuedCount{0};
-  std::atomic<uint64_t> QueueOverflows{0};
-  std::atomic<uint64_t> TimeoutBypasses{0};
-  std::atomic<uint64_t> Bypassed{0};
-  std::atomic<uint64_t> Releases{0};
-  std::atomic<uint64_t> AbortsReported{0};
-  std::atomic<uint64_t> GateFlipsOn{0};
-  std::atomic<uint64_t> GateFlipsOff{0};
-  std::atomic<uint64_t> GatesOn{0};
-  std::atomic<uint64_t> MaxQueueDepth{0};
-  std::atomic<uint64_t> QueueWaitMicros{0};
+#define OTM_X(Name, Key) std::atomic<uint64_t> Name{0};
+  OTM_SCHED_COUNTERS(OTM_X)
+#undef OTM_X
 };
 
 /// The scheduler's view for BENCH_E*.json ("sched" section) and the

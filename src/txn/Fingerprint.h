@@ -86,10 +86,6 @@ struct RwFingerprint {
     return Acc == 0;
   }
 
-  static bool maybeIntersects(const RwFingerprint &A, const RwFingerprint &B) {
-    return !disjoint(A, B);
-  }
-
   /// SplitMix64 finalizer: full-avalanche so both 32-bit probe halves are
   /// independently well distributed even for sequential or strided keys
   /// (pool indices, slab pointers).

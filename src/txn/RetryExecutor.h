@@ -335,11 +335,14 @@ bool htmTryExecute(typename Adapter::Manager &Tx, FnType &Fn) {
 /// serial-gate entry: a parked waiter holds no gate or epoch state, so it
 /// cannot deadlock the gate's drain. It is released *before* the
 /// inter-attempt pause, so the freed slot drains the shard queue while we
-/// wait. Serial-exclusive attempts skip admission: they already run alone,
-/// and parking while holding the exclusive gate would stall every in-flight
-/// slot holder against the queue. An attempt is admitted under the declared
-/// footprint or, without one, under the footprint the first aborted attempt
-/// sampled; until then it speculates unadmitted.
+/// wait. An attempt that already holds the exclusive gate skips admission:
+/// it runs alone, and parking while holding the gate would stall every
+/// in-flight slot holder against the queue. The first serial attempt is
+/// still admitted, because it enters exclusive mode only after admission.
+/// A skipped attempt still reports to its class's gate. An attempt is
+/// admitted under the declared footprint or, without one, under the
+/// footprint the first aborted attempt sampled; until then it speculates
+/// unadmitted.
 class AdmissionBracket {
 public:
   AdmissionBracket(uint32_t ClassId, const TxSummary *Declared)
@@ -352,19 +355,18 @@ public:
   /// A non-STM exception unwinding out of an attempt releases it as clean.
   ~AdmissionBracket() {
     if (Held)
-      Sched.release(Ticket, 0, Site);
+      Sched.release(Ticket, 0);
   }
 
-  /// \p VictimSite names the executing thread's obs site in every release.
-  void admit(bool Serial, uint32_t VictimSite) {
+  /// \p Exclusive: the attempt already holds the exclusive serial gate.
+  void admit(bool Exclusive) {
     // An empty summary bypasses in admit() but release() still feeds the
     // adaptive gate — the unsampled first attempt and gated-off classes
     // keep reporting abort rates, so storms can arm the gate.
     static const TxSummary EmptySummary{};
-    Ticket = {};
-    if (!Serial)
-      Ticket = Sched.admit(ClassId, Footprint ? *Footprint : EmptySummary);
-    Site = VictimSite;
+    Ticket = Exclusive ? AdmissionScheduler::Ticket{.ClassId = ClassId}
+                       : Sched.admit(ClassId,
+                                     Footprint ? *Footprint : EmptySummary);
     Held = true;
   }
 
@@ -377,7 +379,7 @@ public:
     const bool Retry = Out == AttemptOutcome::RetryAbort ||
                        Out == AttemptOutcome::RetryAsWriter;
     Held = false;
-    Sched.release(Ticket, Retry ? 1 : 0, Site);
+    Sched.release(Ticket, Retry ? 1 : 0);
     if (Retry && !Footprint)
       Footprint = &Sampled;
   }
@@ -386,7 +388,6 @@ private:
   AdmissionScheduler &Sched;
   uint32_t ClassId;
   const TxSummary *Footprint; ///< declared or sampled; null until sampled
-  uint32_t Site = 0;
   TxSummary Sampled;
   AdmissionScheduler::Ticket Ticket;
   bool Held = false;
@@ -407,11 +408,11 @@ private:
 ///     template <typename Fn>
 ///     static AttemptOutcome attempt(Manager &, Fn &, TxSummary *Footprint);
 ///     static uint64_t opCount(Manager &);      // monotone work counter
-///     static uint32_t siteId(Manager &);       // obs site (abort victim)
 ///     static CmTxState &cmState(Manager &);    // embedded CM state
 ///     static CmPolicy policy();                // from the active config
 ///     static unsigned fallbackAfter();         // retry budget
 ///     static uint64_t seedMix();               // backoff seed multiplier
+///     static obs::Histogram *backoffHistogram(Manager &); // pause samples
 ///     // optional: read-only calls may run snapshot attempts, which cannot
 ///     // conflict and so bypass the serial gate (begin gets Snapshot=true)
 ///     static bool snapshotAvailable();
@@ -504,14 +505,13 @@ private:
                         Adapter::fallbackAfter(),
                         reinterpret_cast<uintptr_t>(&Tx) *
                             Adapter::seedMix());
-    if constexpr (requires { Adapter::backoffHistogram(Tx); })
-      Ctl.setBackoffHistogram(Adapter::backoffHistogram(Tx));
+    Ctl.setBackoffHistogram(Adapter::backoffHistogram(Tx));
     for (;;) {
       // Decided once per attempt: a snapshot attempt cannot conflict, so
       // it bypasses the serial gate, and begin() runs the same decision.
       const bool Snapshot = snapshotAttempt(ReadOnly);
       if (Admission)
-        Admission->admit(Ctl.inSerialMode(), Adapter::siteId(Tx));
+        Admission->admit(Ctl.inSerialMode());
       Ctl.beforeAttempt(Adapter::opCount(Tx), Snapshot);
       Adapter::begin(Tx, Snapshot);
       AttemptOutcome Out = Adapter::attempt(

@@ -76,8 +76,6 @@ public:
     return Locks[H & (NumStripes - 1)];
   }
 
-  std::size_t indexOf(const VersionedLock *L) const { return L - Locks; }
-
 private:
   LockTable() = default;
   VersionedLock Locks[NumStripes];

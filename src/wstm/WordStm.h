@@ -256,7 +256,6 @@ struct WstmRetryAdapter {
     const stm::TxStats &S = Tx.stats();
     return S.OpensForRead + S.OpensForUpdate;
   }
-  static uint32_t siteId(Manager &Tx) { return Tx.siteId(); }
   static txn::CmTxState &cmState(Manager &Tx) { return Tx.cmState(); }
   static txn::CmPolicy policy() {
     return stm::TxManager::config().ContentionPolicy;

@@ -14,6 +14,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "obs/AbortSites.h"
 #include "stm/HashFilter.h"
 #include "stm/Stm.h"
 #include "support/Random.h"
@@ -544,6 +545,63 @@ TEST_F(AtomicScheduledTest, SampledModeConvergesUnderContention) {
   EXPECT_EQ(C->Value.load(), 2 * PerThread);
 }
 
+TEST_F(AtomicScheduledTest, GateReadsOnlyItsCallersReports) {
+  // Conflict-graph edges charged to this thread's site (aborts of other
+  // classes or of unscheduled transactions) are not the class's aborts: a
+  // window of clean releases must leave its gate off.
+  Sched().setMode(SchedMode::Adaptive);
+  Sched().setGateWindow(4);
+  const uint32_t Cls = 11;
+  obs::AbortSites &Sites = obs::AbortSites::instance();
+  Sites.reset();
+  const uint32_t Site = stm::TxManager::current().siteId();
+  int Addr = 0;
+  for (int I = 0; I < 3; ++I)
+    Sites.record(&Addr, obs::AbortCause::Conflict, /*OwnerSite=*/0, Site);
+
+  auto C = std::make_unique<Cell>();
+  TxSummary S;
+  S.addWrite(reinterpret_cast<uintptr_t>(C.get()));
+  for (int I = 0; I < 4; ++I)
+    stm::Stm::atomicScheduled(Cls, S, [&](stm::TxManager &Tx) {
+      Tx.openForUpdate(C.get());
+      Tx.logUndo(&C->Value);
+      C->Value.store(C->Value.load() + 1);
+    });
+  Sites.reset();
+  EXPECT_EQ(C->Value.load(), 4);
+  EXPECT_FALSE(Sched().admissionActive(Cls)) << "4 clean releases";
+  EXPECT_EQ(Sched().stats().GateFlipsOn, 0u);
+}
+
+TEST_F(AtomicScheduledTest, SerialRetryReportsToItsClass) {
+  // The retry budget sends attempt 2 serial; attempt 3 already holds the
+  // exclusive gate and skips admission, but still reports to class Cls.
+  struct ConfigGuard {
+    stm::TxConfig Saved = stm::TxManager::config();
+    ~ConfigGuard() { stm::TxManager::config() = Saved; }
+  } Guard;
+  stm::TxManager::config().SerialFallbackAfter = 1;
+  Sched().setMode(SchedMode::Adaptive);
+  Sched().setGateWindow(3);
+  const uint32_t Cls = 13;
+  auto C = std::make_unique<Cell>();
+  unsigned Attempts = 0;
+  stm::Stm::atomicScheduled(Cls, [&](stm::TxManager &Tx) {
+    Tx.openForUpdate(C.get());
+    Tx.logUndo(&C->Value);
+    C->Value.store(C->Value.load() + 1);
+    if (++Attempts <= 2)
+      throw stm::AbortTx{stm::AbortTx::Cause::Conflict};
+  });
+  EXPECT_EQ(Attempts, 3u);
+  EXPECT_EQ(C->Value.load(), 1);
+  auto St = Sched().stats();
+  EXPECT_EQ(St.Releases, 3u);
+  EXPECT_EQ(St.AbortsReported, 2u);
+  EXPECT_TRUE(Sched().admissionActive(Cls)) << "3 releases with 2 aborts";
+}
+
 //===----------------------------------------------------------------------===//
 // Differential: scheduled execution is invisible to final state
 //===----------------------------------------------------------------------===//
@@ -667,7 +725,7 @@ TEST(SchedulerConcurrencyTest, MixedArmsHammer) {
           TxSummary S;
           S.addWrite(Rng.nextBelow(1000));
           auto Ticket = Sched.admit(5, S);
-          Sched.release(Ticket, I % 3 == 0 ? 1 : 0, 1 + T);
+          Sched.release(Ticket, I % 3 == 0 ? 1 : 0);
           break;
         }
         }
@@ -703,7 +761,7 @@ TEST(SchedulerConcurrencyTest, AdaptiveFlipsWhileAdmitting) {
         TxSummary S;
         S.addWrite(Rng.nextBelow(64));
         auto Ticket = Sched.admit(static_cast<uint32_t>(Rng.nextBelow(4)), S);
-        Sched.release(Ticket, (I / 64) % 2, 1 + T);
+        Sched.release(Ticket, (I / 64) % 2);
       }
     });
   for (std::thread &Th : Threads)
