@@ -155,7 +155,7 @@ void Interpreter::collectGarbage() {
   if (OTM_UNLIKELY(Tx.inHtmMode()))
     txn::htm::abortWith<txn::htm::CodeUnsupported>();
   obs::TraceRing *Ring = obs::TraceRing::forCurrentThread();
-  OTM_TRACE_EVENT(Ring, obs::EventKind::GcBegin, nullptr, 0);
+  OTM_TRACE_EVENT(Ring, obs::EventKind::GcBegin, 0);
   TheHeap.collect([&](auto Mark) {
     for (Frame *Fr : TlFrames) {
       const DecodedFunction &DF = *Fr->DF;
@@ -185,7 +185,7 @@ void Interpreter::collectGarbage() {
       });
     }
   });
-  OTM_TRACE_EVENT(Ring, obs::EventKind::GcEnd, nullptr, 0);
+  OTM_TRACE_EVENT(Ring, obs::EventKind::GcEnd, 0);
 }
 
 Interpreter::RunResult Interpreter::run(const std::string &Name,

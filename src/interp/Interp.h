@@ -55,49 +55,40 @@
 namespace otm {
 namespace interp {
 
+/// X(Name) per dynamic operation counter: the inventory exists once, so
+/// the atomics, Delta, add() and reset() cannot desync.
+#define OTM_INTERP_DYN_COUNTERS(X)                                             \
+  X(Instrs)                                                                    \
+  X(OpenRead)                                                                  \
+  X(OpenUpdate)                                                                \
+  X(UndoField)                                                                 \
+  X(UndoElem)                                                                  \
+  X(FieldReads)                                                                \
+  X(FieldWrites)                                                               \
+  X(Calls)                                                                     \
+  X(TxStarted)                                                                 \
+  X(TxCommitted)                                                               \
+  X(TxRetried)
+
 /// Dynamic operation counters (process-wide, relaxed atomics). The
 /// execution engine counts into a plain per-run Delta and folds it in here
 /// once per run() — the atomics are off the per-instruction path.
 struct DynCounts {
-  std::atomic<uint64_t> Instrs{0};
-  std::atomic<uint64_t> OpenRead{0};
-  std::atomic<uint64_t> OpenUpdate{0};
-  std::atomic<uint64_t> UndoField{0};
-  std::atomic<uint64_t> UndoElem{0};
-  std::atomic<uint64_t> FieldReads{0};
-  std::atomic<uint64_t> FieldWrites{0};
-  std::atomic<uint64_t> Calls{0};
-  std::atomic<uint64_t> TxStarted{0};
-  std::atomic<uint64_t> TxCommitted{0};
-  std::atomic<uint64_t> TxRetried{0};
+#define OTM_X(Name) std::atomic<uint64_t> Name{0};
+  OTM_INTERP_DYN_COUNTERS(OTM_X)
+#undef OTM_X
 
   /// Plain per-run accumulator; one lives on each run()'s stack.
   struct Delta {
-    uint64_t Instrs = 0;
-    uint64_t OpenRead = 0;
-    uint64_t OpenUpdate = 0;
-    uint64_t UndoField = 0;
-    uint64_t UndoElem = 0;
-    uint64_t FieldReads = 0;
-    uint64_t FieldWrites = 0;
-    uint64_t Calls = 0;
-    uint64_t TxStarted = 0;
-    uint64_t TxCommitted = 0;
-    uint64_t TxRetried = 0;
+#define OTM_X(Name) uint64_t Name = 0;
+    OTM_INTERP_DYN_COUNTERS(OTM_X)
+#undef OTM_X
   };
 
   void add(const Delta &D) {
-    Instrs.fetch_add(D.Instrs, std::memory_order_relaxed);
-    OpenRead.fetch_add(D.OpenRead, std::memory_order_relaxed);
-    OpenUpdate.fetch_add(D.OpenUpdate, std::memory_order_relaxed);
-    UndoField.fetch_add(D.UndoField, std::memory_order_relaxed);
-    UndoElem.fetch_add(D.UndoElem, std::memory_order_relaxed);
-    FieldReads.fetch_add(D.FieldReads, std::memory_order_relaxed);
-    FieldWrites.fetch_add(D.FieldWrites, std::memory_order_relaxed);
-    Calls.fetch_add(D.Calls, std::memory_order_relaxed);
-    TxStarted.fetch_add(D.TxStarted, std::memory_order_relaxed);
-    TxCommitted.fetch_add(D.TxCommitted, std::memory_order_relaxed);
-    TxRetried.fetch_add(D.TxRetried, std::memory_order_relaxed);
+#define OTM_X(Name) Name.fetch_add(D.Name, std::memory_order_relaxed);
+    OTM_INTERP_DYN_COUNTERS(OTM_X)
+#undef OTM_X
   }
 
   /// Zeroes every counter. Requires quiescence: no run() may be live on
@@ -107,11 +98,9 @@ struct DynCounts {
   void reset() {
     assert(ActiveRuns.load(std::memory_order_relaxed) == 0 &&
            "DynCounts::reset() while a run() is live");
-    for (std::atomic<uint64_t> *C :
-         {&Instrs, &OpenRead, &OpenUpdate, &UndoField, &UndoElem,
-          &FieldReads, &FieldWrites, &Calls, &TxStarted, &TxCommitted,
-          &TxRetried})
-      C->store(0, std::memory_order_relaxed);
+#define OTM_X(Name) Name.store(0, std::memory_order_relaxed);
+    OTM_INTERP_DYN_COUNTERS(OTM_X)
+#undef OTM_X
   }
 
   /// Number of run() activations currently executing (quiescence check).

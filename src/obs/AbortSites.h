@@ -11,11 +11,12 @@
 ///     STM) the aborted transaction tripped over, split by cause, with the
 ///     site id of the last owning transaction;
 ///
-///   - a (victim-site x owner-site) edge table: which transaction *classes*
-///     fight, independent of the addresses they fight over. This is the
-///     conflict graph the topology-aware scheduling work consumes — E3/E7
-///     stop answering only "how many aborts" and start answering "who
-///     aborts whom".
+///   - a (victim-site x owner-site) edge table: which transaction *sites*
+///     fight, independent of the addresses they fight over. A site id is
+///     the per-thread id each transaction manager draws once
+///     (TxObs::attachThread -> nextSiteId), so an edge says which thread's
+///     transactions aborted which other thread's, not which code. E3/E7
+///     thereby answer "who aborts whom" besides "how many aborts".
 ///
 /// Recording happens only on abort paths — already the slow path — so both
 /// tables use plain open addressing with relaxed atomics and drop (counting

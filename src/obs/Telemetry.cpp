@@ -6,8 +6,6 @@
 
 #include "obs/Telemetry.h"
 
-#include "obs/TraceRing.h" // OTM_OBS_ENABLE default
-
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
@@ -41,7 +39,6 @@ void Telemetry::registerSource(const std::string &Name, SampleFn Fn) {
 
 bool Telemetry::start(unsigned WantIntervalMs, const std::string &OutPath,
                       const std::string &PromOutPath) {
-#if OTM_OBS_ENABLE
   if (WantIntervalMs == 0 || Running.load(std::memory_order_acquire))
     return false;
   {
@@ -69,12 +66,6 @@ bool Telemetry::start(unsigned WantIntervalMs, const std::string &OutPath,
   Running.store(true, std::memory_order_release);
   Worker = std::thread([this] { threadMain(); });
   return true;
-#else
-  (void)WantIntervalMs;
-  (void)OutPath;
-  (void)PromOutPath;
-  return false;
-#endif
 }
 
 bool Telemetry::startFromEnv() {
@@ -247,7 +238,6 @@ std::string Telemetry::prometheusText(const JsonValue &Totals) {
   return Out;
 }
 
-#if OTM_OBS_ENABLE
 namespace {
 /// Starts the sampler before main() when OTM_TELEMETRY is set. Stop (join +
 /// final record + close) happens in ~Telemetry: the instance is constructed
@@ -258,4 +248,3 @@ struct TelemetryEnvInit {
   TelemetryEnvInit() { Telemetry::instance().startFromEnv(); }
 } InitTelemetry;
 } // namespace
-#endif

@@ -29,8 +29,6 @@
 /// stdout); OTM_TELEMETRY_PROM additionally rewrites a Prometheus text
 /// exposition file each interval (textfile-collector style). The sampler
 /// emits one final record on stop()/exit so short runs are never empty.
-/// Everything compiles out under -DOTM_OBS_ENABLE=0: start() refuses and
-/// no thread ever spawns.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -45,10 +45,6 @@ const char *eventName(uint16_t Kind) {
   case EventKind::TxCommit:
   case EventKind::TxAbort:
     return "tx";
-  case EventKind::OpenForRead:
-    return "open_read";
-  case EventKind::OpenForUpdate:
-    return "open_update";
   case EventKind::GcBegin:
   case EventKind::GcEnd:
     return "gc";
@@ -98,13 +94,6 @@ void appendEvent(std::string &Out, bool &First, const char *Name,
     Out += "}";
   }
   Out += "}";
-}
-
-std::string addrArg(uintptr_t Addr) {
-  char Buf[48];
-  std::snprintf(Buf, sizeof(Buf), "\"addr\":\"0x%llx\"",
-                static_cast<unsigned long long>(Addr));
-  return Buf;
 }
 
 } // namespace
@@ -201,11 +190,6 @@ std::string TraceRing::chromeTraceJson() {
         HavePendingBegin = false;
         break;
       }
-      case EventKind::OpenForRead:
-      case EventKind::OpenForUpdate:
-        appendEvent(Out, First, eventName(E.Kind), "i", TsUs, -1, Tid,
-                    addrArg(E.Addr));
-        break;
       case EventKind::GcBegin:
         PendingGc = E.Tsc;
         HavePendingGc = true;

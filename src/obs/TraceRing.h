@@ -13,8 +13,7 @@
 ///
 /// Tracing is off unless the process starts with OTM_TRACE=1. When off,
 /// forCurrentThread() returns nullptr and the instrumentation sites reduce
-/// to one well-predicted null check (and compile away entirely with
-/// -DOTM_OBS_ENABLE=0).
+/// to one well-predicted null check.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,10 +29,6 @@
 #include <string>
 #include <vector>
 
-#ifndef OTM_OBS_ENABLE
-#define OTM_OBS_ENABLE 1
-#endif
-
 namespace otm {
 namespace obs {
 
@@ -41,12 +36,10 @@ enum class EventKind : uint16_t {
   TxBegin = 0,
   TxCommit = 1,
   TxAbort = 2, ///< Aux carries the abort cause (AuxCause*)
-  OpenForRead = 3,
-  OpenForUpdate = 4,
-  GcBegin = 5,
-  GcEnd = 6,
-  SerialEnter = 7, ///< transaction escalated to serial-irrevocable mode
-  SerialExit = 8,  ///< serial-irrevocable transaction finished
+  GcBegin = 3,
+  GcEnd = 4,
+  SerialEnter = 5, ///< transaction escalated to serial-irrevocable mode
+  SerialExit = 6,  ///< serial-irrevocable transaction finished
 };
 
 /// Aux payload values for TxAbort events. The two Snapshot* causes are
@@ -64,7 +57,6 @@ inline constexpr uint16_t AuxWordStm = 1u << 8;
 
 struct TraceEvent {
   uint64_t Tsc = 0;
-  uintptr_t Addr = 0;
   uint16_t Kind = 0;
   uint16_t Aux = 0;
 };
@@ -88,11 +80,10 @@ public:
 
   explicit TraceRing(uint32_t ThreadOrd, std::size_t CapacityPow2);
 
-  void record(EventKind K, const void *Addr, uint16_t Aux) {
+  void record(EventKind K, uint16_t Aux) {
     uint64_t I = Head.fetch_add(1, std::memory_order_relaxed);
     TraceEvent &E = Slots[I & Mask];
     E.Tsc = readTsc();
-    E.Addr = reinterpret_cast<uintptr_t>(Addr);
     E.Kind = static_cast<uint16_t>(K);
     E.Aux = Aux;
   }
@@ -123,36 +114,11 @@ private:
   std::atomic<uint64_t> Head{0};
 };
 
-#if OTM_OBS_ENABLE
-#define OTM_TRACE_EVENT(RingPtr, Kind, Addr, Aux)                              \
+#define OTM_TRACE_EVENT(RingPtr, Kind, Aux)                                     \
   do {                                                                         \
     if (OTM_UNLIKELY((RingPtr) != nullptr))                                    \
-      (RingPtr)->record((Kind), (Addr), (Aux));                                \
+      (RingPtr)->record((Kind), (Aux));                                        \
   } while (0)
-#else
-#define OTM_TRACE_EVENT(RingPtr, Kind, Addr, Aux)                              \
-  do {                                                                         \
-  } while (0)
-#endif
-
-/// Per-access (OpenForRead/OpenForUpdate) instants are a compile-time opt-in
-/// (-DOTM_OBS_TRACE_OPENS=1): even the disabled-path null check is one extra
-/// predicted branch per barrier, which is measurable (E0: ~6-11%) inside a
-/// read barrier that is itself only a few cycles. Transaction lifecycle
-/// events (begin/commit/abort, GC) keep the cheap runtime gate — their cost
-/// amortizes over the whole transaction (<2% on E0's BM_ReadOnlyTx).
-#ifndef OTM_OBS_TRACE_OPENS
-#define OTM_OBS_TRACE_OPENS 0
-#endif
-
-#if OTM_OBS_ENABLE && OTM_OBS_TRACE_OPENS
-#define OTM_TRACE_OPEN_EVENT(RingPtr, Kind, Addr, Aux)                         \
-  OTM_TRACE_EVENT(RingPtr, Kind, Addr, Aux)
-#else
-#define OTM_TRACE_OPEN_EVENT(RingPtr, Kind, Addr, Aux)                         \
-  do {                                                                         \
-  } while (0)
-#endif
 
 } // namespace obs
 } // namespace otm

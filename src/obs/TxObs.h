@@ -55,53 +55,36 @@ struct TxObs {
 
   /// Called once, from the owning manager's first use on its thread.
   void attachThread() {
-#if OTM_OBS_ENABLE
     Ring = TraceRing::forCurrentThread();
     SiteId = nextSiteId();
-#endif
   }
 
   OTM_ALWAYS_INLINE void onBegin(uint16_t StmAux) {
-#if OTM_OBS_ENABLE
-    OTM_TRACE_EVENT(Ring, EventKind::TxBegin, nullptr, StmAux);
+    OTM_TRACE_EVENT(Ring, EventKind::TxBegin, StmAux);
     Sampling = samplingEnabled();
     if (OTM_UNLIKELY(Sampling))
       BeginTsc = readTsc();
-#else
-    (void)StmAux;
-#endif
   }
 
   OTM_ALWAYS_INLINE void onCommit(uint16_t StmAux, Histogram &CommitCycles,
                                   Histogram &RetriesPerCommit) {
-#if OTM_OBS_ENABLE
-    OTM_TRACE_EVENT(Ring, EventKind::TxCommit, nullptr, StmAux);
+    OTM_TRACE_EVENT(Ring, EventKind::TxCommit, StmAux);
     if (OTM_UNLIKELY(Sampling)) {
       CommitCycles.record(readTsc() - BeginTsc);
       RetriesPerCommit.record(PendingRetries);
     }
     PendingRetries = 0;
-#else
-    (void)StmAux;
-    (void)CommitCycles;
-    (void)RetriesPerCommit;
-#endif
   }
 
   /// \p Cause is one of the AuxCause* values; user aborts do not retry so
   /// they close the attempt chain instead of extending it.
   OTM_ALWAYS_INLINE void onAbort(uint16_t Cause, uint16_t StmAux) {
-#if OTM_OBS_ENABLE
-    OTM_TRACE_EVENT(Ring, EventKind::TxAbort, nullptr,
+    OTM_TRACE_EVENT(Ring, EventKind::TxAbort,
                     static_cast<uint16_t>(StmAux | Cause));
     if (Cause == AuxCauseUser)
       PendingRetries = 0;
     else
       ++PendingRetries;
-#else
-    (void)Cause;
-    (void)StmAux;
-#endif
   }
 };
 

@@ -50,8 +50,8 @@ inline obs::JsonValue histogramToJson(const obs::Histogram &H) {
 }
 
 /// Per-phase {count, cycles, mean_cycles} breakdown of where transaction
-/// time went (see obs/PhaseProfile.h for the phase inventory and nesting
-/// caveats). Keys are the obs::phaseName() strings.
+/// time went (see obs/PhaseProfile.h for the phase inventory). Keys are the
+/// obs::phaseName() strings.
 inline obs::JsonValue phaseBreakdownToJson(const TxStats &S) {
   obs::JsonValue V = obs::JsonValue::object();
   auto Emit = [&](obs::Phase P, const obs::Histogram &H) {
@@ -61,7 +61,6 @@ inline obs::JsonValue phaseBreakdownToJson(const TxStats &S) {
     Entry.set("mean_cycles", H.mean());
     V.set(obs::phaseName(P), std::move(Entry));
   };
-  Emit(obs::Phase::Open, S.PhaseOpenCycles);
   Emit(obs::Phase::Validate, S.PhaseValidateCycles);
   Emit(obs::Phase::CommitLock, S.PhaseCommitLockCycles);
   Emit(obs::Phase::WriteBack, S.PhaseWriteBackCycles);

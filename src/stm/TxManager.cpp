@@ -8,6 +8,7 @@
 
 #include "gc/EpochManager.h"
 #include "obs/AbortSites.h"
+#include "obs/PhaseProfile.h"
 #include "obs/Telemetry.h"
 #include "stm/HashFilter.h"
 #include "stm/StatsJson.h"
@@ -250,9 +251,7 @@ bool TxManager::inAllocatedObject(const void *Addr) {
 
 WordValue TxManager::waitForUnowned(TxObject *Obj) {
   WordValue W = Obj->Word.load(std::memory_order_acquire);
-  // CmWait nests inside the Open scope of the barrier that called us, so
-  // PhaseOpenCycles already contains this time; the separate histogram
-  // isolates how much of the open barrier was arbitration.
+  // The time the open barrier that called us spent on arbitration.
   obs::PhaseScope Ph(Obs.Sampling, &Stats.PhaseCmWaitCycles);
   txn::ConflictWait Wait(ActiveConfig.ContentionPolicy, CmState,
                          txn::ConflictWait::Ownership);
@@ -687,7 +686,6 @@ std::pair<std::size_t, std::size_t> TxManager::compactLogsForGc() {
   return {ReadsRemoved, UndosRemoved};
 }
 
-#if OTM_OBS_ENABLE
 namespace {
 
 /// Registers the stm-side telemetry sources during static initialization.
@@ -743,4 +741,3 @@ struct StmTelemetrySources {
 } RegisterStmSources;
 
 } // namespace
-#endif // OTM_OBS_ENABLE

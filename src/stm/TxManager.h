@@ -37,7 +37,6 @@
 #define OTM_STM_TXMANAGER_H
 
 #include "gc/EpochManager.h"
-#include "obs/PhaseProfile.h"
 #include "obs/TxObs.h"
 #include "stm/Field.h"
 #include "stm/HashFilter.h"
@@ -188,8 +187,6 @@ public:
     if (OTM_UNLIKELY(SnapshotMode))
       upgradeToWriter();
     ++Stats.OpensForRead;
-    OTM_TRACE_OPEN_EVENT(Obs.Ring, obs::EventKind::OpenForRead, Obj, 0);
-    OTM_PHASE_OPEN_SCOPE(Obs.Sampling, Stats.PhaseOpenCycles);
     WordValue W = Obj->Word.load(std::memory_order_acquire);
     if (OTM_UNLIKELY(isOwned(W))) {
       if (ownerEntry(W)->owner() == this)
@@ -229,8 +226,6 @@ public:
     if (OTM_UNLIKELY(SnapshotMode))
       upgradeToWriter();
     ++Stats.OpensForUpdate;
-    OTM_TRACE_OPEN_EVENT(Obs.Ring, obs::EventKind::OpenForUpdate, Obj, 0);
-    OTM_PHASE_OPEN_SCOPE(Obs.Sampling, Stats.PhaseOpenCycles);
     WordValue W = Obj->Word.load(std::memory_order_acquire);
     for (;;) {
       if (OTM_UNLIKELY(isOwned(W))) {

@@ -66,14 +66,13 @@ namespace stm {
 /// Power-of-two distributions sampled when obs::setSampling(true):
 /// CommitTscCycles is outermost begin() -> published commit in TSC ticks;
 /// RetriesPerCommit is aborted attempts absorbed by each commit. The
-/// Phase*Cycles histograms record one sample per phase *episode* (one open
-/// barrier, one validation scan, one backoff pause, ...) so sum() is the
-/// total cycles that phase consumed — the per-phase breakdown of
-/// obs::Phase (see obs/PhaseProfile.h; keep the two lists in sync).
+/// Phase*Cycles histograms record one sample per phase *episode* (one
+/// validation scan, one backoff pause, ...) so sum() is the total cycles
+/// that phase consumed — the per-phase breakdown of obs::Phase (see
+/// obs/PhaseProfile.h; keep the two lists in sync).
 #define OTM_TXSTAT_HISTOGRAMS(X)                                               \
   X(CommitTscCycles)                                                           \
   X(RetriesPerCommit)                                                          \
-  X(PhaseOpenCycles)       /* obs::Phase::Open */                              \
   X(PhaseValidateCycles)   /* obs::Phase::Validate */                          \
   X(PhaseCommitLockCycles) /* obs::Phase::CommitLock (word STM) */             \
   X(PhaseWriteBackCycles)  /* obs::Phase::WriteBack */                         \

@@ -28,10 +28,6 @@
 /// forever; this mirrors the paper's reliance on a GC'd heap, where
 /// transactional allocation is a bump pointer in the nursery.
 ///
-/// OTM_POOL=0 disables pooling (every request takes the ::operator new
-/// fallback path); the header scheme keeps deallocate() uniform so the
-/// switch needs no cooperation from call sites.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef OTM_SUPPORT_TXPOOL_H
@@ -43,7 +39,6 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <new>
 
 namespace otm {
@@ -54,8 +49,6 @@ public:
   /// Allocates \p Size bytes from the calling thread's pool (created
   /// lazily). The returned block is at least 16-byte aligned.
   static void *allocate(std::size_t Size) {
-    if (OTM_UNLIKELY(!enabled()))
-      return fallbackAlloc(Size);
     unsigned Class = classFor(Size);
     if (OTM_UNLIKELY(Class >= NumClasses))
       return fallbackAlloc(Size);
@@ -80,15 +73,6 @@ public:
       return;
     }
     Owner->remoteFree(H->ClassIdx, B);
-  }
-
-  /// True unless OTM_POOL=0 disabled pooling at process start.
-  static bool enabled() {
-    static const bool On = [] {
-      const char *E = std::getenv("OTM_POOL");
-      return !(E && E[0] == '0');
-    }();
-    return On;
   }
 
   /// Pool traffic counters (testing/diagnostics only; never part of the

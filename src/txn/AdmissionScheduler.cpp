@@ -7,7 +7,6 @@
 #include "txn/AdmissionScheduler.h"
 
 #include "obs/Telemetry.h"
-#include "obs/TraceRing.h" // OTM_OBS_ENABLE default
 
 #include <algorithm>
 #include <cstdlib>
@@ -260,7 +259,6 @@ obs::JsonValue schedStatsToJson() {
   return V;
 }
 
-#if OTM_OBS_ENABLE
 namespace {
 /// Registers the scheduler as a telemetry source at static-init time, the
 /// same idiom TxManager.cpp uses for the stm/mvcc/boost sources.
@@ -271,7 +269,6 @@ struct SchedTelemetrySource {
   }
 } RegisterSchedSource;
 } // namespace
-#endif // OTM_OBS_ENABLE
 
 } // namespace txn
 } // namespace otm

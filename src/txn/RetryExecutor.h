@@ -115,7 +115,7 @@ public:
       Mode = GateMode::Exclusive;
       CmStats::instance().bumpFallbackEntries();
       OTM_TRACE_EVENT(obs::TraceRing::forCurrentThread(),
-                      obs::EventKind::SerialEnter, nullptr, 0);
+                      obs::EventKind::SerialEnter, 0);
       return;
     }
     for (;;) {
@@ -204,7 +204,7 @@ private:
       Gate.exitExclusive();
       Mode = GateMode::Outside;
       OTM_TRACE_EVENT(obs::TraceRing::forCurrentThread(),
-                      obs::EventKind::SerialExit, nullptr, 0);
+                      obs::EventKind::SerialExit, 0);
     }
   }
 

@@ -6,6 +6,7 @@
 
 #include "wstm/WordStm.h"
 
+#include "obs/PhaseProfile.h"
 #include "support/Compiler.h"
 
 #include <algorithm>

@@ -21,7 +21,6 @@
 
 #include "gc/EpochManager.h"
 #include "obs/AbortSites.h"
-#include "obs/PhaseProfile.h"
 #include "obs/TxObs.h"
 #include "stm/Field.h"
 #include "stm/TxStats.h"
@@ -86,9 +85,6 @@ public:
   template <typename T> T read(const WCell<T> &Cell) {
     assert(inTx() && "wstm read outside transaction");
     ++Stats.OpensForRead;
-    OTM_TRACE_OPEN_EVENT(Obs.Ring, obs::EventKind::OpenForRead, &Cell,
-                    obs::AuxWordStm);
-    OTM_PHASE_OPEN_SCOPE(Obs.Sampling, Stats.PhaseOpenCycles);
     uint64_t Buffered;
     if (!Writes.empty() && Writes.lookup(&Cell, Buffered))
       return fromBits<T>(Buffered); // read-own-write
@@ -110,9 +106,6 @@ public:
   template <typename T> void write(WCell<T> &Cell, T Value) {
     assert(inTx() && "wstm write outside transaction");
     ++Stats.OpensForUpdate;
-    OTM_TRACE_OPEN_EVENT(Obs.Ring, obs::EventKind::OpenForUpdate, &Cell,
-                    obs::AuxWordStm);
-    OTM_PHASE_OPEN_SCOPE(Obs.Sampling, Stats.PhaseOpenCycles);
     Writes.put(&Cell, toBits(Value), &applyCell<T>);
   }
 

@@ -6,18 +6,22 @@
 //
 // Covers the obs subsystem: trace-ring wrap-around under concurrent
 // writers, power-of-two histogram bucket boundaries, JSON round-tripping
-// (including the StatsReporter document), the statistic registry, and the
-// STM-side stats-to-JSON conversion.
+// (including the StatsReporter document), the statistic registry, the
+// STM-side stats-to-JSON conversion, and the runtime sampling gate on a
+// real commit.
 //
 //===----------------------------------------------------------------------===//
 
 #include "obs/AbortSites.h"
 #include "obs/Histogram.h"
 #include "obs/Json.h"
+#include "obs/PhaseProfile.h"
 #include "obs/StatsReporter.h"
 #include "obs/Statistic.h"
 #include "obs/TraceRing.h"
+#include "obs/TxObs.h"
 #include "stm/StatsJson.h"
+#include "stm/TxManager.h"
 #include "stm/TxStats.h"
 
 #include <gtest/gtest.h>
@@ -113,8 +117,8 @@ TEST(TraceRingTest, WrapAroundUnderConcurrentWriters) {
   for (unsigned T = 0; T < NumThreads; ++T)
     Threads.emplace_back([&, T] {
       for (unsigned I = 0; I < PerThread; ++I)
-        Ring->record(EventKind::OpenForRead,
-                     reinterpret_cast<void *>(uintptr_t(T + 1)), uint16_t(T));
+        Ring->record(T % 2 ? EventKind::GcEnd : EventKind::GcBegin,
+                     uint16_t(T));
     });
   for (std::thread &T : Threads)
     T.join();
@@ -125,17 +129,17 @@ TEST(TraceRingTest, WrapAroundUnderConcurrentWriters) {
   std::vector<TraceEvent> Events = Ring->snapshot();
   EXPECT_EQ(Events.size(), Capacity);
   for (const TraceEvent &E : Events) {
-    EXPECT_EQ(E.Kind, uint16_t(EventKind::OpenForRead));
-    EXPECT_GE(E.Addr, 1u);
-    EXPECT_LE(E.Addr, NumThreads);
-    EXPECT_EQ(E.Aux + 1u, E.Addr); // each slot written by one record() call
+    EXPECT_LT(E.Aux, NumThreads);
+    // Each slot was written by one record() call: kind and aux agree.
+    EXPECT_EQ(E.Kind, uint16_t(E.Aux % 2 ? EventKind::GcEnd
+                                         : EventKind::GcBegin));
   }
 }
 
 TEST(TraceRingTest, SnapshotBeforeWrapKeepsOrder) {
   TraceRing *Ring = TraceRing::createDetached(1 << 8);
   for (int I = 0; I < 10; ++I)
-    Ring->record(EventKind::TxBegin, nullptr, uint16_t(I));
+    Ring->record(EventKind::TxBegin, uint16_t(I));
   std::vector<TraceEvent> Events = Ring->snapshot();
   ASSERT_EQ(Events.size(), 10u);
   for (int I = 0; I < 10; ++I)
@@ -272,6 +276,62 @@ TEST(TxStatsTest, GlobalAggregateResets) {
   });
   EXPECT_EQ(Zero.CommitTscCycles.count(), 0u);
   EXPECT_EQ(Zero.RetriesPerCommit.count(), 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Runtime sampling gate through a real transaction
+//===----------------------------------------------------------------------===//
+
+struct SampledCell : stm::TxObject {
+  stm::Field<int64_t> Value;
+};
+
+/// This thread's stats for one object-STM writer commit run with latency
+/// sampling set to \p On. Restores the sampling switch afterwards.
+stm::TxStats writerCommitStats(bool On) {
+  stm::TxManager &Tx = stm::TxManager::current();
+  Tx.flushStats(); // start from a zeroed per-thread block
+  bool Was = samplingEnabled();
+  setSampling(On);
+  SampledCell C;
+  Tx.begin();
+  Tx.openForUpdate(&C);
+  EXPECT_TRUE(Tx.tryCommit());
+  setSampling(Was);
+  stm::TxStats S = Tx.stats();
+  Tx.flushStats();
+  return S;
+}
+
+TEST(SamplingGateTest, WriterCommitRecordsOneSamplePerPhase) {
+  stm::TxStats S = writerCommitStats(true);
+  EXPECT_EQ(S.Commits, 1u);
+  EXPECT_EQ(S.CommitTscCycles.count(), 1u);
+  EXPECT_EQ(S.RetriesPerCommit.count(), 1u);
+  EXPECT_EQ(S.PhaseValidateCycles.count(), 1u);
+  EXPECT_EQ(S.PhaseWriteBackCycles.count(), 1u);
+  EXPECT_EQ(S.PhaseCommitLockCycles.count(), 0u); // word STM only
+  EXPECT_EQ(S.PhaseCmWaitCycles.count(), 0u);
+  EXPECT_EQ(S.PhaseBackoffCycles.count(), 0u);
+}
+
+TEST(SamplingGateTest, UnsampledCommitRecordsNothing) {
+  stm::TxStats S = writerCommitStats(false);
+  EXPECT_EQ(S.Commits, 1u);
+  S.forEachHistogram([](const char *Name, const Histogram &H) {
+    EXPECT_EQ(H.count(), 0u) << Name;
+  });
+}
+
+TEST(SamplingGateTest, PhaseBreakdownListsTheFivePhases) {
+  JsonValue V = stm::phaseBreakdownToJson(stm::TxStats());
+  std::vector<std::string> Keys;
+  for (const auto &Member : V.members())
+    Keys.push_back(Member.first);
+  EXPECT_EQ(Keys, (std::vector<std::string>{"validate", "commit_lock",
+                                            "write_back", "cm_wait",
+                                            "backoff"}));
+  EXPECT_EQ(Keys.size(), NumPhases);
 }
 
 //===----------------------------------------------------------------------===//

@@ -265,8 +265,8 @@ TEST(TxPool, CrossThreadFreeDrainsBackToOwner) {
 }
 
 TEST(TxPool, OversizeFallsThroughToOperatorNew) {
-  // Requests beyond the largest size class take the null-owner header path
-  // (the same path OTM_POOL=0 routes everything through).
+  // Requests beyond the largest size class take the null-owner header path:
+  // ::operator new on allocate, ::operator delete on deallocate.
   EXPECT_GE(support::TxPool::classFor(4096), support::TxPool::numClasses());
   void *P = support::TxPool::allocate(4096);
   ASSERT_NE(P, nullptr);

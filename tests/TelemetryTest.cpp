@@ -15,7 +15,6 @@
 
 #include "obs/Json.h"
 #include "obs/Telemetry.h"
-#include "obs/TraceRing.h" // OTM_OBS_ENABLE
 #include "stm/Stm.h"
 
 #include <gtest/gtest.h>
@@ -63,8 +62,6 @@ TEST(TelemetryTest, ClampedDelta) {
   EXPECT_EQ(Telemetry::clampedDelta(3, 1000), 3u);
   EXPECT_EQ(Telemetry::clampedDelta(0, ~uint64_t(0)), 0u);
 }
-
-#if OTM_OBS_ENABLE
 
 TEST(TelemetryTest, SampleOnceProducesSchemaRecord) {
   JsonValue Rec = Telemetry::instance().sampleOnce();
@@ -191,16 +188,5 @@ TEST(TelemetryTest, PrometheusFileRewrittenPerSample) {
   std::remove(Path.c_str());
   std::remove(PromPath.c_str());
 }
-
-#else // !OTM_OBS_ENABLE
-
-TEST(TelemetryTest, CompiledOutStartRefuses) {
-  Telemetry &T = Telemetry::instance();
-  EXPECT_FALSE(T.start(10, tempJsonlPath("disabled")));
-  EXPECT_FALSE(T.running());
-  EXPECT_EQ(T.samplesEmitted(), 0u);
-}
-
-#endif // OTM_OBS_ENABLE
 
 } // namespace

@@ -21,8 +21,7 @@ import time
 
 SCHEMA = "otm-telemetry-v1"
 
-PHASES = ("open", "validate", "commit_lock", "write_back", "cm_wait",
-          "backoff")
+PHASES = ("validate", "commit_lock", "write_back", "cm_wait", "backoff")
 
 
 def fmt_count(n):
